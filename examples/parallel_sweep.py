@@ -19,7 +19,7 @@ Run:  PYTHONPATH=src python examples/parallel_sweep.py
 
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 from repro.models.wsn_node import NodeParameters, WSNNodeModel
-from repro.runtime import map_sweep
+from repro.runtime import ExecutionConfig, map_sweep
 
 GRID = (1e-9, 0.0017, 0.00178, 0.01, 0.1, 1.0)
 HORIZON_S = 30.0
@@ -49,8 +49,7 @@ def main() -> None:
     print("\n== 3. the Fig. 14 driver with the same knobs ==")
     sweep = run_node_energy_sweep(
         NodeSweepConfig(horizon=HORIZON_S, thresholds=GRID),
-        workers=4,
-        replications=8,
+        exec_cfg=ExecutionConfig(workers=4, replications=8),
     )
     t_opt, e_opt = sweep.optimum()
     print(f"  optimum threshold {t_opt:g} s at {e_opt:.3f} J (mean of 8 reps)")

@@ -46,8 +46,6 @@ from .sweep import (
     FIG14_15_THRESHOLDS,
     NETWORK_THRESHOLDS,
     SweepPoint,
-    linear_thresholds,
-    run_sweep,
 )
 from .tables import (
     format_delta_table,
@@ -93,8 +91,6 @@ __all__ = [
     "FIG4_TO_9_THRESHOLDS",
     "FIG14_15_THRESHOLDS",
     "SweepPoint",
-    "run_sweep",
-    "linear_thresholds",
     "format_delta_table",
     "format_validation_table",
     "format_steady_state_table",

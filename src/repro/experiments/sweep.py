@@ -1,4 +1,4 @@
-"""Parameter sweeps and grids.
+"""Sweep grids and the sweep-point record.
 
 The two threshold grids the paper uses:
 
@@ -11,19 +11,14 @@ The two threshold grids the paper uses:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, TypeVar
-
-import numpy as np
+from typing import Any
 
 __all__ = [
     "FIG4_TO_9_THRESHOLDS",
     "FIG14_15_THRESHOLDS",
     "NETWORK_THRESHOLDS",
     "SweepPoint",
-    "run_sweep",
-    "linear_thresholds",
 ]
 
 #: Figs. 4–9 x-axis: 0.001 then 0.1..1.0 in 0.1 steps (11 points).
@@ -81,50 +76,9 @@ NETWORK_THRESHOLDS: tuple[float, ...] = (
     100.0,
 )
 
-T = TypeVar("T")
-
-
-def linear_thresholds(
-    low: float = 0.001, high: float = 1.0, n: int = 11
-) -> tuple[float, ...]:
-    """Evenly spaced thresholds including both endpoints."""
-    if low <= 0 or high <= low or n < 2:
-        raise ValueError("need 0 < low < high and n >= 2")
-    return tuple(float(x) for x in np.linspace(low, high, n))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One evaluated sweep point."""
 
     threshold: float
     value: Any
-
-
-def run_sweep(
-    thresholds: Sequence[float],
-    evaluate: Callable[[float], T],
-    workers: int = 1,
-) -> list[SweepPoint]:
-    """Evaluate ``evaluate(threshold)`` over the grid, preserving order.
-
-    With ``workers > 1`` the grid points are evaluated by a
-    :class:`~repro.runtime.ParallelExecutor` process pool (``evaluate``
-    must then be picklable); ``workers=1`` evaluates in-process, in
-    order.  Exceptions propagate with the offending threshold attached
-    so a single bad grid point is diagnosable.
-
-    For seeded multi-replication sweeps use the richer
-    :func:`repro.runtime.map_sweep` API instead.
-    """
-    from ..runtime.executor import ParallelExecutor, TaskError
-
-    grid = [float(t) for t in thresholds]
-    try:
-        values = ParallelExecutor(workers=workers).map(evaluate, grid)
-    except TaskError as exc:
-        raise RuntimeError(
-            f"sweep evaluation failed at threshold {exc.item!r}: "
-            f"{exc.__cause__ or exc}"
-        ) from exc
-    return [SweepPoint(t, v) for t, v in zip(grid, values)]

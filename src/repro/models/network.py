@@ -408,10 +408,13 @@ class SensorNetworkModel:
     Example
     -------
     >>> from repro.models import GridTopology, NodeParameters, SensorNetworkModel
+    >>> from repro.runtime import ExecutionConfig
     >>> net = SensorNetworkModel(
     ...     GridTopology(5, 4), NodeParameters(power_down_threshold=0.01)
     ... )
-    >>> result = net.simulate(horizon=5.0, seed=7, base_rate=0.2, shards=4)
+    >>> result = net.simulate(
+    ...     horizon=5.0, seed=7, base_rate=0.2, exec_cfg=ExecutionConfig(shards=4)
+    ... )
     >>> len(result.nodes)
     20
     >>> result.nodes[0].event_rate  # the sink-adjacent corner relays all 20
@@ -517,16 +520,17 @@ class SensorNetworkModel:
         horizon: float,
         seed: int = 0,
         base_rate: float = 1.0,
-        workers: int = 1,
-        shards: int = 1,
-        shard_strategy: str = "contiguous",
-        seed_mode: str = "legacy",
-        backend=None,
-        store=None,
         *,
         exec_cfg=None,
     ) -> NetworkResult:
         """Simulate every node at its effective rate.
+
+        ``exec_cfg`` — an
+        :class:`~repro.runtime.config.ExecutionConfig`, a resolved
+        :class:`~repro.runtime.config.ResolvedExecution`, or ``None``
+        for the serial defaults — says how to run; its ``workers``,
+        ``shards``, ``shard_strategy``, ``seed_mode``, backend and
+        store apply here.
 
         Nodes are independent, so with ``workers > 1`` their
         simulations are submitted through the :mod:`repro.runtime`
@@ -545,28 +549,19 @@ class SensorNetworkModel:
         ``workers``, ``shards`` and ``shard_strategy``; ``shards=1``
         is bit-identical to the historical serial path.
 
-        ``backend`` selects *where* node/shard tasks run — an explicit
-        :class:`~repro.runtime.backend.Backend`, e.g. a
+        The backend selects *where* node/shard tasks run — e.g. a
         :class:`~repro.runtime.remote.SocketBackend` over remote
         worker hosts.  Tasks are picklable data with their seeds
         inside, so the backend can never change the numbers either.
 
-        ``store`` memoizes *per-node* results in a
+        A store memoizes *per-node* results in a
         :class:`~repro.runtime.store.ResultStore` keyed by ``(node
         params incl. effective rate, workload, horizon, node seed)`` —
         node granularity means any topology, shard count or threshold
         sweep reuses every node simulation it shares with an earlier
         run.
-
-        ``exec_cfg`` — an
-        :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) — supplies
-        ``workers`` / ``shards`` / ``shard_strategy`` / ``seed_mode`` /
-        ``backend`` / ``store`` in one object; mutually exclusive with
-        passing them individually.
         """
         from ..runtime.config import resolve_execution
-        from ..runtime.executor import ParallelExecutor
         from ..runtime.sharding import (
             map_shards,
             partition_indices,
@@ -574,26 +569,12 @@ class SensorNetworkModel:
         )
         from ..runtime.store import cached_map
 
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            seed_mode=seed_mode,
-            backend=backend,
-            store=store,
-        )
-        workers, shards, backend = rx.workers, rx.shards, rx.backend
-        shard_strategy, seed_mode, store = (
-            rx.shard_strategy,
-            rx.seed_mode,
-            rx.store,
-        )
+        rx = resolve_execution(exec_cfg)
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         rates = self.topology.effective_rates(base_rate)
         estimator = NodeLifetimeEstimator(self.battery)
-        seeds = shard_node_seeds(seed, len(rates), mode=seed_mode)
+        seeds = shard_node_seeds(seed, len(rates), mode=rx.seed_mode)
         if self.dynamics is not None:
             # Churn: the whole schedule — failures, rewired trees,
             # per-epoch rates, per-segment seeds — is fixed here in
@@ -634,13 +615,8 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        if shards == 1:
-            results = cached_map(
-                ParallelExecutor(workers=workers, backend=backend),
-                task_fn,
-                tasks,
-                store,
-            )
+        if rx.shards == 1:
+            results = cached_map(rx.executor(), task_fn, tasks, rx.store)
             out = NetworkResult(
                 topology=self.topology.describe(),
                 power_down_threshold=self.params.power_down_threshold,
@@ -648,14 +624,14 @@ class SensorNetworkModel:
                 nodes=[summarise(i, result) for i, result in enumerate(results)],
             )
         else:
-            plan = partition_indices(len(tasks), shards, shard_strategy)
+            plan = partition_indices(len(tasks), rx.shards, rx.shard_strategy)
             per_shard = map_shards(
                 task_fn,
                 tasks,
                 plan,
-                workers=workers,
-                backend=backend,
-                store=store,
+                workers=rx.workers,
+                backend=rx.backend,
+                store=rx.store,
             )
             shard_results = [
                 NetworkResult(
@@ -680,12 +656,6 @@ class SensorNetworkModel:
         horizon: float,
         seed: int = 0,
         base_rate: float = 1.0,
-        workers: int = 1,
-        shards: int = 1,
-        shard_strategy: str = "contiguous",
-        seed_mode: str = "legacy",
-        backend=None,
-        store=None,
         *,
         exec_cfg=None,
     ) -> list[NetworkResult]:
@@ -695,47 +665,19 @@ class SensorNetworkModel:
         ``shards > 1``, the shards) of each network run; the threshold
         points themselves are processed in order so each
         :class:`NetworkResult` is complete before the next starts.
-        ``exec_cfg`` bundles the execution keywords as in
-        :meth:`simulate`.
+        ``exec_cfg`` is passed to every :meth:`simulate` call as is.
         """
         from ..runtime.config import resolve_execution
 
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            seed_mode=seed_mode,
-            backend=backend,
-            store=store,
-        )
-        workers, shards, backend = rx.workers, rx.shards, rx.backend
-        shard_strategy, seed_mode, store = (
-            rx.shard_strategy,
-            rx.seed_mode,
-            rx.store,
-        )
-        out: list[NetworkResult] = []
-        for t in thresholds:
-            model = SensorNetworkModel(
+        rx = resolve_execution(exec_cfg)
+        return [
+            SensorNetworkModel(
                 self.topology,
                 replace(self.params, power_down_threshold=t),
                 self.battery,
                 self.workload,
                 dynamics=self.dynamics,
                 traffic=self.traffic,
-            )
-            out.append(
-                model.simulate(
-                    horizon,
-                    seed=seed,
-                    base_rate=base_rate,
-                    workers=workers,
-                    shards=shards,
-                    shard_strategy=shard_strategy,
-                    seed_mode=seed_mode,
-                    backend=backend,
-                    store=store,
-                )
-            )
-        return out
+            ).simulate(horizon, seed=seed, base_rate=base_rate, exec_cfg=rx)
+            for t in thresholds
+        ]

@@ -49,15 +49,17 @@ time:
   above: :class:`ExecutionConfig` bundles workers / backend spec /
   engine / store dir / seed mode / shards / adaptive settings into one
   frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
-  builds the live backend/store, and every driver accepts it as
-  ``exec_cfg=`` (the loose keyword bundle remains as a deprecation
-  shim through :func:`resolve_execution`).
+  builds the live backend/store, and every driver takes it as its only
+  execution parameter, ``exec_cfg=`` (normalised once by
+  :func:`resolve_execution` and passed straight down).
 
 Every experiment driver (``repro.experiments.figures``,
-``node_energy``, ``sensitivity``, ``validation``) and the network
-lifetime model accept ``workers=`` (and where meaningful
-``replications=``) and route their grids through this runtime; the CLI
-exposes the same knobs as ``--workers`` / ``--replications``.
+``node_energy``, ``sensitivity``, ``validation``) and :func:`map_sweep`
+run their grid × replications through the one loop,
+:func:`run_adaptive_rounds` (a fixed count is a single round); the
+network lifetime model routes its node set through the same executor
+and store.  The CLI exposes the knobs as ``--workers`` /
+``--replications`` / ``--ci-target`` / ...
 """
 
 from .adaptive import AdaptivePointRun, AdaptiveSettings, run_adaptive_rounds

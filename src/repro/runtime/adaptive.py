@@ -33,7 +33,7 @@ from typing import Any
 
 from ..core.statistics import replication_interval
 from .executor import ParallelExecutor
-from .store import ResultStore, task_key
+from .store import ResultStore
 
 __all__ = ["AdaptiveSettings", "AdaptivePointRun", "run_adaptive_rounds"]
 
@@ -47,10 +47,13 @@ class AdaptiveSettings:
     ci_target:
         Target relative CI half-width: a point is converged once
         ``interval.relative_half_width() <= ci_target`` for every
-        tracked metric.
+        tracked metric.  ``None`` is a fixed count: every point runs
+        exactly one round of ``min_replications`` (which must then
+        equal ``max_replications``) and no interval is computed.
     min_replications:
         Replications every point runs before the rule is first checked
-        (at least 2 — a single replication has an infinite half-width).
+        (at least 2 under a ``ci_target`` — a single replication has an
+        infinite half-width).
     max_replications:
         Hard cap per point; a point reaching it closes unconverged.
     batch_size:
@@ -60,16 +63,27 @@ class AdaptiveSettings:
         Confidence level of the stopping intervals.
     """
 
-    ci_target: float
+    ci_target: float | None
     min_replications: int = 2
     max_replications: int = 64
     batch_size: int | None = None
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.ci_target <= 0:
+        if self.ci_target is None:
+            if self.min_replications < 1:
+                raise ValueError(
+                    f"replications must be >= 1, got {self.min_replications}"
+                )
+            if self.max_replications != self.min_replications:
+                raise ValueError(
+                    "a fixed count (ci_target=None) runs one round: "
+                    f"min_replications {self.min_replications} must equal "
+                    f"max_replications {self.max_replications}"
+                )
+        elif self.ci_target <= 0:
             raise ValueError(f"ci_target must be > 0, got {self.ci_target}")
-        if self.min_replications < 2:
+        elif self.min_replications < 2:
             raise ValueError(
                 "min_replications must be >= 2 (one replication has an "
                 f"infinite half-width), got {self.min_replications}"
@@ -86,6 +100,30 @@ class AdaptiveSettings:
                 f"confidence must be in (0, 1), got {self.confidence}"
             )
 
+    @classmethod
+    def from_knobs(
+        cls,
+        replications: int,
+        ci_target: float | None = None,
+        min_replications: int = 2,
+        max_replications: int = 64,
+        confidence: float = 0.95,
+    ) -> "AdaptiveSettings":
+        """The stopping rule the execution knobs describe.
+
+        Without ``ci_target`` it is a fixed count: one round of exactly
+        ``replications``.  With it, ``replications`` acts as a floor on
+        ``min_replications``.
+        """
+        if ci_target is None:
+            return cls(None, replications, replications, confidence=confidence)
+        return cls(
+            ci_target,
+            min_replications=max(min_replications, replications),
+            max_replications=max_replications,
+            confidence=confidence,
+        )
+
     @property
     def round_size(self) -> int:
         """Replications added per round after the first."""
@@ -98,11 +136,12 @@ class AdaptivePointRun:
 
     ``values`` holds the raw evaluation results in replication order —
     by the seed-plan contract, a bit-identical prefix of the fixed
-    ``max_replications`` run.
+    ``max_replications`` run.  ``converged`` is ``None`` for a fixed
+    count (no interval is computed).
     """
 
     values: list[Any]
-    converged: bool
+    converged: bool | None
 
     @property
     def replications(self) -> int:
@@ -119,6 +158,22 @@ def _metric_values(
     return (float(out),)
 
 
+def _converged(
+    values: list[Any],
+    metrics: Callable[[Any], float | Sequence[float]],
+    settings: AdaptiveSettings,
+) -> bool:
+    """Whether every metric's interval meets ``settings.ci_target``."""
+    samples = [_metric_values(metrics, v) for v in values]
+    return all(
+        replication_interval(
+            [s[m] for s in samples], settings.confidence
+        ).relative_half_width()
+        <= settings.ci_target
+        for m in range(len(samples[0]))
+    )
+
+
 def run_adaptive_rounds(
     fn: Callable[[Any], Any],
     task_for: Callable[[int, int], Any],
@@ -126,13 +181,15 @@ def run_adaptive_rounds(
     settings: AdaptiveSettings,
     metrics: Callable[[Any], float | Sequence[float]] = float,
     executor: ParallelExecutor | None = None,
-    backend: Any | None = None,
     ensemble_fn: Callable[[Any], list[Any]] | None = None,
     ensemble_task_for: Callable[[int, int, int], Any] | None = None,
     store: ResultStore | None = None,
-    exec_cfg: Any | None = None,
 ) -> list[AdaptivePointRun]:
     """Drive ``fn`` over ``(point, replication)`` tasks until CIs close.
+
+    This is the one replication loop every driver runs on: a fixed
+    replication count is the special case ``settings.ci_target=None``
+    (one round, no interval).
 
     Parameters
     ----------
@@ -157,11 +214,6 @@ def run_adaptive_rounds(
     executor:
         The :class:`ParallelExecutor` each round's batch is submitted
         through (default: serial).
-    backend:
-        Shorthand for ``executor=ParallelExecutor(backend=...)`` — an
-        explicit :class:`~repro.runtime.backend.Backend` the rounds run
-        on (e.g. a socket backend over remote workers).  Ignored when
-        ``executor`` is given; pass the backend on the executor then.
     ensemble_fn / ensemble_task_for:
         The ``engine="vectorized"`` round shape: when both are given,
         each round submits **one task per open point** covering all of
@@ -174,128 +226,72 @@ def run_adaptive_rounds(
         bit-identical per replication).
     store:
         Optional :class:`~repro.runtime.store.ResultStore`.  Each
-        round's new replications are keyed by
+        round runs through :func:`~repro.runtime.store.cached_map` (or
+        :func:`~repro.runtime.store.cached_ensemble_map` for the
+        ensemble shape), so new replications are keyed by
         ``task_key(fn, task_for(i, r))`` — always the *interpreted*
-        task shape, so both engines share entries.  Cached values are
-        served without submitting work (for the ensemble shape, the
-        cached prefix is served and one smaller task covers only the
-        tail) and computed values are written back.  Raising
-        ``max_replications`` on a warmed store therefore schedules
-        only the delta replications.
-    exec_cfg:
-        An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) supplying the
-        executor (``workers``/``backend``) and ``store`` in one object.
-        Mutually exclusive with ``executor``, ``backend`` and
-        ``store``.
+        task shape, so both engines share entries — cached values are
+        served without submitting work and computed values are written
+        back.  Raising ``max_replications`` on a warmed store therefore
+        schedules only the delta replications.
 
     Returns
     -------
     list[AdaptivePointRun]
         One entry per point, in point order.
     """
-    if exec_cfg is not None:
-        if executor is not None or backend is not None or store is not None:
-            raise TypeError(
-                "pass execution settings either via exec_cfg or via "
-                "executor/backend/store, not both"
-            )
-        from .config import ExecutionConfig, ResolvedExecution
+    # Looked up at call time, so a wrapper installed on the store
+    # module's maps (e.g. a profiler) sees every round.
+    from .store import cached_ensemble_map, cached_map
 
-        if isinstance(exec_cfg, ExecutionConfig):
-            exec_cfg = exec_cfg.resolve()
-        if not isinstance(exec_cfg, ResolvedExecution):
-            raise TypeError(
-                "exec_cfg must be an ExecutionConfig or "
-                f"ResolvedExecution, got {type(exec_cfg).__name__}"
-            )
-        executor = exec_cfg.executor()
-        store = exec_cfg.store
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")
     if (ensemble_fn is None) != (ensemble_task_for is None):
         raise ValueError(
             "ensemble_fn and ensemble_task_for must be given together"
         )
-    if executor is not None:
-        pool = executor
-    else:
-        pool = ParallelExecutor(backend=backend)
-    runs = [AdaptivePointRun(values=[], converged=False) for _ in range(n_points)]
+    pool = executor if executor is not None else ParallelExecutor()
+    fixed = settings.ci_target is None
+    runs = [
+        AdaptivePointRun(values=[], converged=None if fixed else False)
+        for _ in range(n_points)
+    ]
     open_points = list(range(n_points))
     while open_points:
-        tasks: list[Any] = []
-        # (point, new replication count, cached prefix / per-rep slots, keys)
-        spans: list[tuple[int, int, list[Any], list[str]]] = []
+        # (point, first new replication, new replication count)
+        batch: list[tuple[int, int, int]] = []
         for i in open_points:
             done = len(runs[i].values)
             want = settings.min_replications if done == 0 else settings.round_size
-            n_new = min(want, settings.max_replications - done)
-            keys = (
-                [task_key(fn, task_for(i, done + r)) for r in range(n_new)]
-                if store is not None
-                else []
+            batch.append((i, done, min(want, settings.max_replications - done)))
+        rep_items = [[task_for(i, done + r) for r in range(n)] for i, done, n in batch]
+        if ensemble_fn is None:
+            flat = iter(
+                cached_map(
+                    pool, fn, [item for items in rep_items for item in items], store
+                )
             )
-            if ensemble_task_for is not None:
-                # Serve the cached *prefix* only: the ensemble task shape
-                # covers one contiguous replication range per point.
-                cached: list[Any] = []
-                for key in keys:
-                    hit, value = store.get(key)  # type: ignore[union-attr]
-                    if not hit:
-                        break
-                    cached.append(value)
-                if len(cached) < n_new:
-                    tasks.append(
-                        ensemble_task_for(i, done + len(cached), n_new - len(cached))
-                    )
-                spans.append((i, n_new, cached, keys))
-            else:
-                slots: list[Any] = []
-                for r in range(n_new):
-                    if store is not None:
-                        hit, value = store.get(keys[r])
-                        if hit:
-                            slots.append((True, value))
-                            continue
-                    slots.append((False, None))
-                    tasks.append(task_for(i, done + r))
-                spans.append((i, n_new, slots, keys))
-        if ensemble_fn is not None:
-            batches = iter(pool.map(ensemble_fn, tasks))
-            for i, n_new, cached, keys in spans:
-                n_tail = n_new - len(cached)
-                tail = list(next(batches)) if n_tail else []
-                if len(tail) != n_tail:
-                    raise ValueError(
-                        f"ensemble_fn returned {len(tail)} values for "
-                        f"point {i}, expected {n_tail}"
-                    )
-                if store is not None:
-                    for offset, value in enumerate(tail):
-                        store.put(keys[len(cached) + offset], value)
-                runs[i].values.extend(cached)
-                runs[i].values.extend(tail)
+            per_point = [[next(flat) for _ in items] for items in rep_items]
         else:
-            flat = iter(pool.map(fn, tasks))
-            for i, n_new, slots, keys in spans:
-                for r, (hit, value) in enumerate(slots):
-                    if not hit:
-                        value = next(flat)
-                        if store is not None:
-                            store.put(keys[r], value)
-                    runs[i].values.append(value)
+            per_point = cached_ensemble_map(
+                pool,
+                ensemble_fn,
+                [ensemble_task_for(i, done, n) for i, done, n in batch],
+                store,
+                key_fn=fn,
+                rep_items=rep_items,
+                rebuild_tail=lambda k, start: ensemble_task_for(
+                    batch[k][0], batch[k][1] + start, batch[k][2] - start
+                ),
+            )
+        for (i, _, _), values in zip(batch, per_point):
+            runs[i].values.extend(values)
+        if fixed:
+            break
         still_open: list[int] = []
         for i in open_points:
             run = runs[i]
-            samples = [_metric_values(metrics, v) for v in run.values]
-            run.converged = all(
-                replication_interval(
-                    [s[m] for s in samples], settings.confidence
-                ).relative_half_width()
-                <= settings.ci_target
-                for m in range(len(samples[0]))
-            )
+            run.converged = _converged(run.values, metrics, settings)
             if not run.converged and run.replications < settings.max_replications:
                 still_open.append(i)
         open_points = still_open

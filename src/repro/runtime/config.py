@@ -21,10 +21,12 @@ bit-identity invariant), so an ``ExecutionConfig`` is *how* to run,
 never *what* to run — it deliberately carries no model parameters and
 contributes nothing to :func:`~repro.runtime.store.task_key`.
 
-Drivers accept ``exec_cfg=`` (an :class:`ExecutionConfig` or an
-already-resolved :class:`ResolvedExecution`); the historical loose
-keywords (``workers=``, ``backend=``, ``store=``, ...) remain as a
-thin deprecation shim via :func:`resolve_execution` for one release.
+Drivers take ``exec_cfg=`` only (an :class:`ExecutionConfig`, an
+already-resolved :class:`ResolvedExecution`, or ``None`` for the
+defaults), normalise it once with :func:`resolve_execution` and pass
+the resolved object straight down to every layer they call.
+:meth:`ExecutionConfig.bind` is the one place a config's knobs are
+copied into a :class:`ResolvedExecution`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
+from .adaptive import AdaptiveSettings
 from .backend import BACKEND_NAMES, Backend, make_backend
 from .executor import ParallelExecutor
 from .sharding import SEED_MODES, SHARD_STRATEGIES
@@ -243,19 +246,23 @@ class ExecutionConfig:
                 keep_alive=keep_alive,
             )
         store = ResultStore(self.store_dir) if self.store_dir else None
-        return ResolvedExecution(
-            workers=self.workers,
-            replications=self.replications,
-            engine=self.engine,
-            seed_mode=self.seed_mode,
-            shards=self.shards,
-            shard_strategy=self.shard_strategy,
-            ci_target=self.ci_target,
-            max_replications=self.max_replications,
-            min_replications=self.min_replications,
-            backend=backend,
-            store=store,
-        )
+        return self.bind(backend=backend, store=store)
+
+    def bind(
+        self,
+        *,
+        backend: Backend | None = None,
+        store: ResultStore | None = None,
+    ) -> "ResolvedExecution":
+        """This config's knobs with the given live backend and store.
+
+        The one place a :class:`ResolvedExecution` is built from a
+        config: :meth:`resolve` binds the objects it constructs, and a
+        caller that already holds live ones (a long-lived service's
+        shared pool, a test's store) binds those instead.
+        """
+        knobs = {name: getattr(self, name) for name in _KNOBS}
+        return ResolvedExecution(backend=backend, store=store, **knobs)
 
 
 @dataclass
@@ -264,22 +271,23 @@ class ResolvedExecution:
 
     This is what drivers consume: the scalar knobs plus an instantiated
     :class:`~repro.runtime.backend.Backend` and
-    :class:`~repro.runtime.store.ResultStore` (both optional).  Resolve
-    once per run so store hit/miss counters accumulate across every
-    driver call of that run.
+    :class:`~repro.runtime.store.ResultStore` (both optional).  Build
+    one with :meth:`ExecutionConfig.resolve` or
+    :meth:`ExecutionConfig.bind`; resolve once per run so store
+    hit/miss counters accumulate across every driver call of that run.
     """
 
-    workers: int = 1
-    replications: int = 1
-    engine: str = "interpreted"
-    seed_mode: str = "legacy"
-    shards: int = 1
-    shard_strategy: str = "contiguous"
-    ci_target: float | None = None
-    max_replications: int = 64
-    min_replications: int = 2
-    backend: Backend | None = None
-    store: ResultStore | None = None
+    workers: int
+    replications: int
+    engine: str
+    seed_mode: str
+    shards: int
+    shard_strategy: str
+    ci_target: float | None
+    max_replications: int
+    min_replications: int
+    backend: Backend | None
+    store: ResultStore | None
 
     def executor(
         self,
@@ -294,56 +302,40 @@ class ResolvedExecution:
             backend=self.backend,
         )
 
+    def replication_settings(
+        self, replications: int | None = None
+    ) -> AdaptiveSettings:
+        """The per-point stopping rule these knobs describe.
 
-#: The historical loose-keyword bundle and its defaults — the shim
-#: contract :func:`resolve_execution` keeps alive for one release.
-_LEGACY_DEFAULTS: dict[str, Any] = {
-    "workers": 1,
-    "replications": 1,
-    "ci_target": None,
-    "max_replications": 64,
-    "min_replications": 2,
-    "backend": None,
-    "engine": "interpreted",
-    "store": None,
-    "shards": 1,
-    "shard_strategy": "contiguous",
-    "seed_mode": "legacy",
-}
+        ``replications`` overrides this config's fixed count (a driver
+        whose points are single runs passes 1); see
+        :meth:`AdaptiveSettings.from_knobs`.
+        """
+        return AdaptiveSettings.from_knobs(
+            self.replications if replications is None else replications,
+            ci_target=self.ci_target,
+            min_replications=self.min_replications,
+            max_replications=self.max_replications,
+        )
+
+
+#: The scalar knobs a :class:`ResolvedExecution` copies from its config.
+_KNOBS = tuple(
+    f.name for f in fields(ResolvedExecution) if f.name not in ("backend", "store")
+)
 
 
 def resolve_execution(
-    exec_cfg: "ExecutionConfig | ResolvedExecution | None" = None,
-    **legacy: Any,
+    exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> ResolvedExecution:
-    """Merge the ``exec_cfg`` seam with the legacy keyword bundle.
+    """The resolved view a driver runs on.
 
-    Drivers call this with their historical keywords passed through
-    verbatim: with ``exec_cfg=None`` the keywords behave exactly as
-    before (the deprecation-shim path); with an ``exec_cfg`` given, any
-    legacy keyword still at its default is ignored and any *non*-default
-    one is a :class:`TypeError` — mixing the two styles silently would
-    make it ambiguous which setting wins.
+    ``None`` resolves the defaults, an :class:`ExecutionConfig` is
+    resolved, and a :class:`ResolvedExecution` passes through unchanged
+    (so nested driver calls share one backend and one store).
     """
-    unknown = sorted(set(legacy) - set(_LEGACY_DEFAULTS))
-    if unknown:
-        raise TypeError(f"unknown execution keyword {unknown[0]!r}")
     if exec_cfg is None:
-        merged = dict(_LEGACY_DEFAULTS)
-        merged.update(legacy)
-        backend = merged.pop("backend")
-        store = merged.pop("store")
-        return ResolvedExecution(backend=backend, store=store, **merged)
-    overridden = sorted(
-        name
-        for name, value in legacy.items()
-        if value != _LEGACY_DEFAULTS[name]
-    )
-    if overridden:
-        raise TypeError(
-            "pass execution settings either via exec_cfg or via the "
-            f"legacy keywords, not both (got exec_cfg plus {overridden})"
-        )
+        return ExecutionConfig().resolve()
     if isinstance(exec_cfg, ResolvedExecution):
         return exec_cfg
     if isinstance(exec_cfg, ExecutionConfig):

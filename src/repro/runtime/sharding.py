@@ -224,7 +224,6 @@ def map_shards(
     mp_context: str | None = None,
     backend: Any | None = None,
     store: ResultStore | None = None,
-    exec_cfg: Any | None = None,
 ) -> list[list[R]]:
     """Evaluate ``fn`` over ``items``, one executor task per shard.
 
@@ -249,19 +248,7 @@ def map_shards(
     items (fully-cached shards submit nothing), and computed values are
     written back.  Shard membership never enters the key, so any shard
     count and strategy warms and reads the same entries.
-
-    ``exec_cfg`` supplies ``workers`` / ``backend`` / ``store`` in one
-    :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-    :class:`~repro.runtime.config.ResolvedExecution`); mutually
-    exclusive with passing those keywords individually.
     """
-    if exec_cfg is not None:
-        from .config import resolve_execution
-
-        rx = resolve_execution(
-            exec_cfg, workers=workers, backend=backend, store=store
-        )
-        workers, backend, store = rx.workers, rx.backend, rx.store
     items = list(items)
     if plan.n_items != len(items):
         raise ValueError(

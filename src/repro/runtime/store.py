@@ -635,38 +635,44 @@ def cached_ensemble_map(
     store and ``rebuild_tail(point, first_missing)`` builds the smaller
     ensemble task covering only the remaining replications — the
     incremental top-up path.  Points that are fully cached submit
-    nothing.
+    nothing.  Every ensemble task must return one value per
+    replication it covers.
     """
     tasks = list(tasks)
-    if store is None:
-        return pool.map(ensemble_fn, tasks)
-    rep_keys = [[task_key(key_fn, item) for item in items] for items in rep_items]
-    if len(rep_keys) != len(tasks):
+    if len(rep_items) != len(tasks):
         raise ValueError(
-            f"rep_items covers {len(rep_keys)} points, got {len(tasks)} tasks"
+            f"rep_items covers {len(rep_items)} points, got {len(tasks)} tasks"
         )
-    prefixes: list[list[Any]] = []
-    submit: list[tuple[int, int]] = []  # (point, first missing replication)
-    for i, keys in enumerate(rep_keys):
-        values: list[Any] = []
-        for key in keys:
-            hit, value = store.get(key)
-            if not hit:
-                break
-            values.append(value)
-        prefixes.append(values)
-        if len(values) < len(keys):
-            submit.append((i, len(values)))
-    tails = pool.map(ensemble_fn, [rebuild_tail(i, start) for i, start in submit])
-    out = [list(p) for p in prefixes]
+    out: list[list[Any]] = [[] for _ in tasks]
+    if store is None:
+        rep_keys = None
+        submit = [(i, 0) for i in range(len(tasks))]
+        tails = pool.map(ensemble_fn, tasks)
+    else:
+        rep_keys = [
+            [task_key(key_fn, item) for item in items] for items in rep_items
+        ]
+        submit = []  # (point, first missing replication)
+        for i, keys in enumerate(rep_keys):
+            for key in keys:
+                hit, value = store.get(key)
+                if not hit:
+                    break
+                out[i].append(value)
+            if len(out[i]) < len(keys):
+                submit.append((i, len(out[i])))
+        tails = pool.map(
+            ensemble_fn, [rebuild_tail(i, start) for i, start in submit]
+        )
     for (i, start), tail in zip(submit, tails):
-        expected = len(rep_keys[i]) - start
+        expected = len(rep_items[i]) - start
         if len(tail) != expected:
             raise ValueError(
                 f"ensemble task for point {i} returned {len(tail)} "
                 f"values, expected {expected}"
             )
-        for offset, value in enumerate(tail):
-            store.put(rep_keys[i][start + offset], value)
+        if rep_keys is not None:
+            for offset, value in enumerate(tail):
+                store.put(rep_keys[i][start + offset], value)
         out[i].extend(tail)
     return out

@@ -34,7 +34,7 @@ from ..experiments.sweep import SweepPoint
 from .adaptive import AdaptiveSettings, run_adaptive_rounds
 from .executor import ParallelExecutor
 from .seeding import sequence_to_seed
-from .store import ResultStore, cached_ensemble_map, cached_map
+from .store import ResultStore
 
 __all__ = ["ReplicatedValue", "map_sweep"]
 
@@ -111,7 +111,6 @@ def map_sweep(
     engine: str = "interpreted",
     ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
     store: ResultStore | None = None,
-    exec_cfg: Any | None = None,
 ) -> list[SweepPoint]:
     """Evaluate ``evaluate(threshold, seed)`` over a grid, in parallel.
 
@@ -176,37 +175,12 @@ def map_sweep(
         bit-identical per replication, so both engines (and every
         backend; the store is consulted in the parent only) share one
         cache.  Execution knobs never enter the key.
-    exec_cfg:
-        An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) supplying
-        ``workers`` / ``replications`` / ``backend`` / ``engine`` /
-        ``store`` and the adaptive knobs in one object.  Mutually
-        exclusive with passing those keywords individually.
 
     Returns
     -------
     list[SweepPoint]
         One point per threshold, in grid order.
     """
-    if exec_cfg is not None:
-        from .config import resolve_execution
-
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            replications=replications,
-            backend=backend,
-            ci_target=ci_target,
-            max_replications=max_replications,
-            min_replications=min_replications,
-            engine=engine,
-            store=store,
-        )
-        workers, replications = rx.workers, rx.replications
-        backend, engine, store = rx.backend, rx.engine, rx.store
-        ci_target = rx.ci_target
-        max_replications = rx.max_replications
-        min_replications = rx.min_replications
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     if engine not in _ENGINES:
@@ -214,100 +188,16 @@ def map_sweep(
     if engine == "vectorized" and ensemble_evaluate is None:
         raise ValueError("engine='vectorized' requires ensemble_evaluate")
     grid = [float(t) for t in thresholds]
-    if ci_target is not None:
-        return _adaptive_sweep(
-            evaluate,
-            grid,
-            seed=seed,
-            settings=AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=max(min_replications, replications),
-                max_replications=max_replications,
-                confidence=confidence,
-            ),
-            executor=ParallelExecutor(
-                workers=workers,
-                chunk_size=chunk_size,
-                mp_context=mp_context,
-                backend=backend,
-            ),
-            engine=engine,
-            ensemble_evaluate=ensemble_evaluate,
-            store=store,
-        )
-    point_seqs = np.random.SeedSequence(seed).spawn(len(grid))
-    seeds = [
-        [sequence_to_seed(s) for s in ps.spawn(replications)]
-        for ps in point_seqs
-    ]
-    pool = ParallelExecutor(
-        workers=workers,
-        chunk_size=chunk_size,
-        mp_context=mp_context,
-        backend=backend,
+    settings = AdaptiveSettings.from_knobs(
+        replications,
+        ci_target=ci_target,
+        min_replications=min_replications,
+        max_replications=max_replications,
+        confidence=confidence,
     )
-    if engine == "vectorized":
-        point_tasks = [
-            (ensemble_evaluate, t, tuple(seeds[i])) for i, t in enumerate(grid)
-        ]
-        per_point = cached_ensemble_map(
-            pool,
-            _evaluate_ensemble_task,
-            point_tasks,
-            store,
-            key_fn=_evaluate_task,
-            rep_items=[
-                [(evaluate, t, s) for s in seeds[i]] for i, t in enumerate(grid)
-            ],
-            rebuild_tail=lambda i, start: (
-                ensemble_evaluate,
-                grid[i],
-                tuple(seeds[i][start:]),
-            ),
-        )
-        flat = [v for values in per_point for v in values]
-    else:
-        tasks = [
-            (evaluate, t, seeds[i][r])
-            for i, t in enumerate(grid)
-            for r in range(replications)
-        ]
-        flat = cached_map(pool, _evaluate_task, tasks, store)
-    out: list[SweepPoint] = []
-    for i, t in enumerate(grid):
-        reps = flat[i * replications : (i + 1) * replications]
-        if replications == 1:
-            out.append(SweepPoint(t, reps[0]))
-        else:
-            out.append(
-                SweepPoint(
-                    t,
-                    ReplicatedValue(tuple(reps), tuple(seeds[i])),
-                )
-            )
-    return out
-
-
-def _adaptive_sweep(
-    evaluate: Callable[[float, int], T],
-    grid: list[float],
-    seed: int | None,
-    settings: AdaptiveSettings,
-    executor: ParallelExecutor,
-    engine: str = "interpreted",
-    ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
-    store: ResultStore | None = None,
-) -> list[SweepPoint]:
-    """The ``ci_target`` path of :func:`map_sweep`.
-
-    The seed plan is the *same* two-level spawn tree as the fixed-count
-    path, always spanning ``max_replications`` per point; the
-    controller consumes a prefix of it, which is what makes a converged
-    run a reproducible prefix of the fixed run.  Under
-    ``engine="vectorized"`` each round runs one lockstep ensemble per
-    open point over that round's slice of the plan — same seeds, same
-    prefix contract.
-    """
+    # The two-level seed plan always spans max_replications per point;
+    # the controller consumes a prefix of it, which is what makes a
+    # converged run a reproducible prefix of the fixed run.
     point_seqs = np.random.SeedSequence(seed).spawn(len(grid))
     seeds = [
         [sequence_to_seed(s) for s in ps.spawn(settings.max_replications)]
@@ -328,10 +218,17 @@ def _adaptive_sweep(
         lambda i, r: (evaluate, grid[i], seeds[i][r]),
         len(grid),
         settings,
-        executor=executor,
+        executor=ParallelExecutor(
+            workers=workers,
+            chunk_size=chunk_size,
+            mp_context=mp_context,
+            backend=backend,
+        ),
         store=store,
         **ensemble_kwargs,
     )
+    if ci_target is None and replications == 1:
+        return [SweepPoint(t, run.values[0]) for t, run in zip(grid, runs)]
     return [
         SweepPoint(
             t,

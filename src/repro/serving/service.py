@@ -53,7 +53,7 @@ from collections.abc import Mapping
 from contextlib import redirect_stdout
 from typing import Any
 
-from ..runtime.config import ExecutionConfig, ResolvedExecution
+from ..runtime.config import ExecutionConfig
 from ..runtime.store import request_key
 from ..scenarios import ScenarioError, ScenarioSpec, run_scenario
 from ..scenarios.spec import _validate_smoke, apply_overrides
@@ -500,20 +500,7 @@ class SweepService:
             _JobStore(store, job, self._progress_interval)
             if store is not None else None
         )
-        ex = job.spec.execution
-        rx = ResolvedExecution(
-            workers=ex.workers,
-            replications=ex.replications,
-            engine=ex.engine,
-            seed_mode=ex.seed_mode,
-            shards=ex.shards,
-            shard_strategy=ex.shard_strategy,
-            ci_target=ex.ci_target,
-            max_replications=ex.max_replications,
-            min_replications=ex.min_replications,
-            backend=self._rx.backend,
-            store=job_store,
-        )
+        rx = job.spec.execution.bind(backend=self._rx.backend, store=job_store)
         buffer = io.StringIO()
         t0 = time.perf_counter()
         try:

@@ -9,6 +9,7 @@ from repro.experiments import (
     cpu_energy_threshold_response,
     node_optimum_vs_rate,
 )
+from repro.runtime import ExecutionConfig
 
 
 class TestCPUThresholdResponse:
@@ -95,7 +96,9 @@ class TestAdaptiveReplication:
 
     def test_adaptive_cells_report_counts_and_flags(self):
         r = node_optimum_vs_rate(
-            [1.0], ci_target=0.5, max_replications=4, **self.KW
+            [1.0],
+            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4),
+            **self.KW,
         )
         assert len(r.cell_replications) == 1
         assert len(r.cell_replications[0]) == 2

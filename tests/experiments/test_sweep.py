@@ -1,13 +1,6 @@
-"""Tests for sweep grids and the sweep runner."""
+"""Tests for the paper's sweep grids."""
 
-import pytest
-
-from repro.experiments import (
-    FIG4_TO_9_THRESHOLDS,
-    FIG14_15_THRESHOLDS,
-    linear_thresholds,
-    run_sweep,
-)
+from repro.experiments import FIG4_TO_9_THRESHOLDS, FIG14_15_THRESHOLDS
 
 
 class TestGrids:
@@ -20,31 +13,3 @@ class TestGrids:
         for v in (0.0017, 0.00176, 0.00177, 0.00178, 0.0019):
             assert v in FIG14_15_THRESHOLDS
         assert FIG14_15_THRESHOLDS == tuple(sorted(FIG14_15_THRESHOLDS))
-
-    def test_linear_thresholds(self):
-        ts = linear_thresholds(0.1, 1.0, 10)
-        assert len(ts) == 10
-        assert ts[0] == pytest.approx(0.1)
-        assert ts[-1] == pytest.approx(1.0)
-
-    def test_linear_validation(self):
-        with pytest.raises(ValueError):
-            linear_thresholds(1.0, 0.5)
-        with pytest.raises(ValueError):
-            linear_thresholds(0.1, 1.0, 1)
-
-
-class TestRunSweep:
-    def test_preserves_order_and_values(self):
-        points = run_sweep([0.1, 0.2], lambda t: t * 10)
-        assert [p.threshold for p in points] == [0.1, 0.2]
-        assert [p.value for p in points] == [pytest.approx(1.0), pytest.approx(2.0)]
-
-    def test_failure_names_threshold(self):
-        def boom(t):
-            if t > 0.15:
-                raise RuntimeError("inner")
-            return t
-
-        with pytest.raises(RuntimeError, match="0.2"):
-            run_sweep([0.1, 0.2], boom)

@@ -159,11 +159,11 @@ class TestResolve:
 
 
 class TestResolveExecutionShim:
+    """``resolve_execution`` normalises ``exec_cfg``; loose keywords are gone."""
+
     def test_legacy_keywords_alone(self):
-        rx = resolve_execution(workers=3, engine="vectorized")
-        assert rx.workers == 3
-        assert rx.engine == "vectorized"
-        assert rx.backend is None
+        with pytest.raises(TypeError, match="workers"):
+            resolve_execution(workers=3, engine="vectorized")
 
     def test_exec_cfg_resolved(self):
         rx = resolve_execution(ExecutionConfig(workers=2))
@@ -171,15 +171,11 @@ class TestResolveExecutionShim:
         assert rx.workers == 2
 
     def test_resolved_passthrough(self):
-        rx = ResolvedExecution(workers=7)
+        rx = ExecutionConfig(workers=7).resolve()
         assert resolve_execution(rx) is rx
 
-    def test_default_legacy_keywords_ignored_with_exec_cfg(self):
-        rx = resolve_execution(ExecutionConfig(workers=2), workers=1)
-        assert rx.workers == 2
-
     def test_conflicting_non_default_keyword_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="workers"):
             resolve_execution(ExecutionConfig(), workers=4)
 
     def test_unknown_keyword_rejected(self):
@@ -190,20 +186,79 @@ class TestResolveExecutionShim:
         with pytest.raises(TypeError, match="ExecutionConfig"):
             resolve_execution({"workers": 2})
 
+    def test_none_resolves_the_defaults(self):
+        rx = resolve_execution(None)
+        assert rx == ExecutionConfig().resolve()
+
+
+class TestBind:
+    """``bind`` is the one place a config's knobs are copied."""
+
+    def test_every_knob_is_copied(self, tmp_path):
+        cfg = ExecutionConfig(
+            workers=3,
+            replications=4,
+            engine="vectorized",
+            seed_mode="spawn",
+            shards=2,
+            shard_strategy="round-robin",
+            ci_target=0.1,
+            max_replications=9,
+            min_replications=3,
+        )
+        store = ResultStore(tmp_path)
+        backend = SerialBackend()
+        rx = cfg.bind(backend=backend, store=store)
+        assert rx.backend is backend
+        assert rx.store is store
+        for name in (
+            "workers",
+            "replications",
+            "engine",
+            "seed_mode",
+            "shards",
+            "shard_strategy",
+            "ci_target",
+            "max_replications",
+            "min_replications",
+        ):
+            assert getattr(rx, name) == getattr(cfg, name), name
+
+    def test_resolve_binds_the_objects_it_builds(self, tmp_path):
+        cfg = ExecutionConfig(store_dir=str(tmp_path), replications=3)
+        rx = cfg.resolve()
+        assert rx == cfg.bind(backend=rx.backend, store=rx.store)
+
+    def test_replication_settings_fixed_and_adaptive(self):
+        fixed = ExecutionConfig(replications=3).resolve().replication_settings()
+        assert (fixed.ci_target, fixed.min_replications) == (None, 3)
+        assert fixed.max_replications == 3
+        adaptive = (
+            ExecutionConfig(ci_target=0.1, replications=5, max_replications=8)
+            .resolve()
+            .replication_settings()
+        )
+        assert adaptive.min_replications == 5  # replications is the floor
+        assert adaptive.max_replications == 8
+        single = ExecutionConfig(replications=3).resolve()
+        assert single.replication_settings(replications=1).max_replications == 1
+
 
 class TestDriversAcceptExecCfg:
-    """exec_cfg must be bit-identical to the legacy keyword spelling."""
+    """A config and its resolved form run bit-identically."""
 
     def test_node_sweep_equivalence(self):
         from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 
         cfg = NodeSweepConfig(horizon=2.0, seed=5)
-        legacy = run_node_energy_sweep(cfg, replications=2)
+        resolved = run_node_energy_sweep(
+            cfg, exec_cfg=ExecutionConfig(replications=2).resolve()
+        )
         seamed = run_node_energy_sweep(
             cfg, exec_cfg=ExecutionConfig(replications=2)
         )
-        assert seamed.breakdowns == legacy.breakdowns
-        assert seamed.replicates == legacy.replicates
+        assert seamed.breakdowns == resolved.breakdowns
+        assert seamed.replicates == resolved.replicates
 
     def test_network_equivalence(self):
         from repro.experiments import (
@@ -215,14 +270,14 @@ class TestDriversAcceptExecCfg:
         cfg = NetworkScenarioConfig(
             topology=LineTopology(3), horizon=5.0, seed=5
         )
-        legacy = run_network_scenario(cfg, shards=2)
+        serial = run_network_scenario(cfg)
         seamed = run_network_scenario(cfg, exec_cfg=ExecutionConfig(shards=2))
-        assert seamed == legacy
+        assert seamed == serial
 
     def test_mixing_styles_rejected(self):
         from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="replications"):
             run_node_energy_sweep(
                 NodeSweepConfig(horizon=2.0),
                 replications=2,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.sweep import SweepPoint
-from repro.runtime import ReplicatedValue, map_sweep
+from repro.runtime import ExecutionConfig, ReplicatedValue, map_sweep
 
 
 def seeded_noise(threshold, seed):
@@ -77,8 +77,14 @@ class TestExperimentDrivers:
         from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 
         cfg = NodeSweepConfig(horizon=5.0, thresholds=(0.001, 0.00178, 0.1))
-        serial = run_node_energy_sweep(cfg, workers=1)
-        parallel = run_node_energy_sweep(cfg, workers=4)
+        serial = run_node_energy_sweep(
+            cfg,
+            exec_cfg=ExecutionConfig(workers=1),
+        )
+        parallel = run_node_energy_sweep(
+            cfg,
+            exec_cfg=ExecutionConfig(workers=4),
+        )
         assert serial.total_energy_j == parallel.total_energy_j
         assert serial.optimum() == parallel.optimum()
 
@@ -87,8 +93,16 @@ class TestExperimentDrivers:
         from repro.models.network import LineTopology, SensorNetworkModel
 
         model = SensorNetworkModel(LineTopology(3))
-        serial = model.simulate(5.0, seed=9, workers=1)
-        parallel = model.simulate(5.0, seed=9, workers=2)
+        serial = model.simulate(
+            5.0,
+            seed=9,
+            exec_cfg=ExecutionConfig(workers=1),
+        )
+        parallel = model.simulate(
+            5.0,
+            seed=9,
+            exec_cfg=ExecutionConfig(workers=2),
+        )
         assert [n.energy_j for n in serial.nodes] == [
             n.energy_j for n in parallel.nodes
         ]

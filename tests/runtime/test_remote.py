@@ -22,7 +22,12 @@ from repro.experiments.network import (
     run_network_lifetime_sweep,
 )
 from repro.models import LineTopology
-from repro.runtime import ParallelExecutor, SerialBackend, TaskError
+from repro.runtime import (
+    ExecutionConfig,
+    ParallelExecutor,
+    SerialBackend,
+    TaskError,
+)
 from repro.runtime.remote import (
     PROTOCOL_VERSION,
     ConnectionClosed,
@@ -307,7 +312,10 @@ class TestEndToEndCliWorkers:
             thresholds=(0.00178, 0.1),
             seed=2010,
         )
-        serial = run_network_lifetime_sweep(config, shards=2)
+        serial = run_network_lifetime_sweep(
+            config,
+            exec_cfg=ExecutionConfig(shards=2),
+        )
         worker_a, port_a = _cli_worker()
         worker_b, port_b = _cli_worker()
         try:
@@ -315,7 +323,8 @@ class TestEndToEndCliWorkers:
                 [f"127.0.0.1:{port_a}", f"127.0.0.1:{port_b}"]
             )
             remote = run_network_lifetime_sweep(
-                config, shards=2, backend=backend
+                config,
+                exec_cfg=ExecutionConfig(shards=2).bind(backend=backend),
             )
         finally:
             worker_a.terminate()
