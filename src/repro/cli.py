@@ -5,127 +5,46 @@ Usage::
     python -m repro.cli list
     python -m repro.cli fig 7 --horizon 1000
     python -m repro.cli table 6
-    python -m repro.cli node-sweep --workload open --horizon 900
-    python -m repro.cli node-sweep --workers 4 --replications 8
-    python -m repro.cli node-sweep --ci-target 0.05 --max-replications 32
-    python -m repro.cli validate --replications 16 --workers 4
-    python -m repro.cli lifetime --threshold 0.00178 --capacity-mah 1000
+    python -m repro.cli node-sweep --workload open --workers 4 --replications 8
+    python -m repro.cli validate --ci-target 0.05 --max-replications 32
     python -m repro.cli network --topology grid --grid 10x10 --shards 8
-    python -m repro.cli network --topology line --nodes 5 --sweep
-    python -m repro.cli node-sweep --store ~/.repro-store
+    python -m repro.cli topology describe --topology geometric --nodes 200
+    python -m repro.cli scenario run scenarios/fig14.yaml --smoke
     python -m repro.cli store stats --store ~/.repro-store
-    python -m repro.cli worker --serve 9000
-    python -m repro.cli network --sweep --backend socket \
-        --connect hostA:9000 --connect hostB:9000
-    python -m repro.cli scenario run scenarios/fig14.yaml
-    python -m repro.cli scenario run scenarios/grid100.yaml --smoke \
-        --override execution.workers=4
-    python -m repro.cli scenario validate scenarios/validation.yaml
 
-Each subcommand prints the same rows the corresponding benchmark
-persists, so quick what-if runs don't require pytest.  ``--workers N``
-fans grid points and replications out over a process pool
-(:mod:`repro.runtime`); ``--replications R`` re-runs every stochastic
-point with independent spawned seeds and reports mean ± 95 % t-interval
-uncertainty alongside the point estimates.  ``--ci-target REL``
-switches the replication count to adaptive control
-(:mod:`repro.runtime.adaptive`): each point replicates in rounds until
-its interval's relative half-width is ≤ REL (capped at
-``--max-replications``), and the output reports each point's
-replication count and convergence.  The ``network`` subcommand
-additionally accepts ``--shards K`` to partition a topology's node set
-into coarse worker-group tasks (:mod:`repro.runtime.sharding`) — the
-scaling knob for hundreds-of-node grids; no worker/shard setting ever
-changes the reported numbers.
-
-``--engine {interpreted,vectorized}`` selects *how* each Petri-net
-simulation runs (:mod:`repro.core.fast`): the default interpreted
-per-event loop, or the vectorized lockstep engine that runs all of a
-sweep point's replications as one NumPy ensemble.  Results are
-bit-identical; only throughput changes (the vectorized engine wins on
-replication ensembles, R ≳ tens).  ``network`` does not accept
-``--engine vectorized`` — its per-node fan-out has nothing to batch.
-
-``--backend {local,processes,socket}`` selects *where* tasks execute
-(:mod:`repro.runtime.backend`): in-process, on a local process pool,
-or on remote worker processes.  For the socket backend, start one
-``python -m repro.cli worker --serve PORT`` per host and list each as
-``--connect host:port``; chunks are load-balanced across the workers
-and re-queued if a worker drops (:mod:`repro.runtime.remote`).
-Backends, like workers and shards, never change the reported numbers —
-``--backend socket`` is asserted bit-identical to ``--backend local``
-in the test suite and CI.
-
-``--store DIR`` memoizes per-replication simulation results in a
-content-addressed on-disk :class:`~repro.runtime.store.ResultStore`
-(also settable via the ``REPRO_STORE`` environment variable;
-``--no-store`` disables it for one run — combining it with ``--store
-DIR`` is a flag error).  Warm re-runs print output byte-identical to
-cold runs — entries are keyed by the task spec (parameters, seed,
-horizon), never by workers/shards/backend/engine, so every execution
-configuration shares one cache.  ``python -m repro.cli store
-{stats,verify,gc} --store DIR`` inspects, integrity-checks and
-compacts a store.
-
-All of those execution flags are one shared set
-(:func:`add_execution_args`), parsed into one
-:class:`~repro.runtime.config.ExecutionConfig`
-(:func:`execution_config_from_args`) and resolved once per run —
-drivers receive the single ``exec_cfg`` object instead of a loose
-keyword bundle.  ``scenario {run,validate,show} FILE`` drives the same
-run functions from a declarative YAML/JSON
-:class:`~repro.scenarios.ScenarioSpec` (model + params + execution +
-outputs), with ``--override KEY=VALUE`` dotted-path tweaks and
-``--smoke`` applying the spec's own CI-scale overrides; ``scenario
-run`` output is byte-identical to the equivalent flag-spelled
-invocation.
+The run subcommands (``fig``, ``table``, ``node-sweep``, ``validate``,
+``network``) generate their model flags from the scenario schema
+(:mod:`repro.scenarios.spec`) and share the execution flags of
+:func:`add_execution_args`.  Each one builds a
+:class:`~repro.scenarios.ScenarioSpec` from its flags and runs it
+exactly as ``scenario run`` does.  ``docs/running-experiments.md``
+walks through every command; ``docs/cli-reference.md`` lists every
+flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from collections.abc import Sequence
-from pathlib import Path
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
-from .energy import (
-    format_breakdown_sweep,
-    format_energy_series,
-    format_state_percentages,
-    format_table,
-)
 from .energy.battery import LinearBattery, NodeLifetimeEstimator
-from .experiments import (
-    CPUComparisonConfig,
-    NodeSweepConfig,
-    ValidationConfig,
-    format_delta_table,
-    format_optimum_summary,
-    format_steady_state_table,
-    format_validation_table,
-    run_cpu_comparison,
-    run_node_energy_sweep,
-    run_simple_node_validation,
-)
 from .models import NodeParameters, WSNNodeModel
 from .runtime import BACKEND_NAMES
-from .runtime.config import ExecutionConfig, ResolvedExecution
-from .experiments.network import (
-    NetworkScenarioConfig,
-    format_network_summary,
-    make_topology,
-    run_network_lifetime_sweep,
-    run_network_scenario,
-)
-from .topology import ChurnModel, MMPPTraffic, describe_topology
+from .runtime.config import ExecutionConfig
+from .scenarios import ScenarioError, ScenarioSpec, load_scenario, run_scenario
+from .scenarios.runner import topology_from_params
+from .scenarios.spec import SCENARIO_MODELS, params_schema, parse_value
+from .topology import describe_topology
 
-_FIG_TO_PUD = {4: 0.001, 5: 0.3, 6: 10.0, 7: 0.001, 8: 0.3, 9: 10.0}
-_TABLE_TO_PUD = {4: 0.001, 5: 0.3, 6: 10.0}
-_TABLE_NUMERALS = {4: "IV", 5: "V", 6: "VI"}
+#: The network keys ``topology describe`` takes, in flag order.
+_TOPOLOGY_KEYS = (
+    "topology", "nodes", "grid", "radius", "fanout", "depth", "base_rate",
+    "seed",
+)
 
 
 def _positive_int(text: str) -> int:
@@ -142,88 +61,55 @@ def _ci_target(text: str) -> float:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+def _param_type(
+    key: str, check: Callable[[str, Any], Any]
+) -> Callable[[str], Any]:
+    """argparse ``type=`` for a schema parameter.
+
+    The text is read as ``--override params.KEY=VALUE`` reads it (JSON
+    if it parses, else a string), then passes the parameter's own
+    check; a rejection becomes an argparse error naming the flag.
+    """
+
+    def parse(text: str) -> Any:
+        try:
+            return check(f"params.{key}", parse_value(text))
+        except ScenarioError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _add_param_args(
+    sub_parser: argparse.ArgumentParser,
+    model: str,
+    keys: Sequence[str] | None = None,
+    helps: Mapping[str, str] | None = None,
+) -> None:
+    """Generate ``model``'s parameter flags from the scenario schema.
 
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
-    return value
-
-
-def _grid_spec(text: str) -> tuple[int, int]:
-    """Parse a ``WIDTHxHEIGHT`` grid spec like ``10x10``."""
-    try:
-        width_text, height_text = text.lower().split("x")
-        width, height = int(width_text), int(height_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected WIDTHxHEIGHT (e.g. 10x10), got {text!r}"
-        ) from None
-    if width < 1 or height < 1:
-        raise argparse.ArgumentTypeError(
-            f"grid dimensions must be >= 1, got {text!r}"
-        )
-    return width, height
-
-
-def _add_topology_args(sub_parser: argparse.ArgumentParser) -> None:
-    """Topology-selection flags shared by ``network`` and ``topology``."""
-    sub_parser.add_argument(
-        "--topology",
-        choices=["line", "star", "grid", "geometric", "cluster-tree"],
-        default="line",
-    )
-    sub_parser.add_argument(
-        "--nodes",
-        type=_positive_int,
-        default=5,
-        help=(
-            "chain length (line), leaf count (star) or deployment size "
-            "(geometric); ignored for grid and cluster-tree"
-        ),
-    )
-    sub_parser.add_argument(
-        "--grid",
-        type=_grid_spec,
-        default=(10, 10),
-        metavar="WxH",
-        help="grid dimensions for --topology grid (default 10x10)",
-    )
-    sub_parser.add_argument(
-        "--radius",
-        type=float,
-        default=None,
-        help=(
-            "connectivity radius for --topology geometric (default: "
-            "auto-sized from the node count; retried/grown "
-            "deterministically if the deployment comes out disconnected)"
-        ),
-    )
-    sub_parser.add_argument(
-        "--fanout",
-        type=_positive_int,
-        default=3,
-        help="children per cluster head for --topology cluster-tree",
-    )
-    sub_parser.add_argument(
-        "--depth",
-        type=_positive_int,
-        default=3,
-        help="tree depth for --topology cluster-tree",
-    )
+    Defaults, checks, choices, help and metavar all come from the
+    schema; a required parameter becomes a positional.  ``keys`` picks
+    and orders a subset, ``helps`` replaces help texts.
+    """
+    schema = params_schema(model)
+    for key in keys or schema:
+        param = schema[key]
+        flag = "--" + key.replace("_", "-")
+        help_text = (helps or {}).get(key, param.help)
+        if param.switch:
+            sub_parser.add_argument(flag, action="store_true", help=help_text)
+            continue
+        kwargs = {
+            "type": _param_type(key, param.check),
+            "choices": param.choices,
+            "metavar": param.metavar,
+            "help": help_text,
+        }
+        if param.required:
+            sub_parser.add_argument(key, **kwargs)
+        else:
+            sub_parser.add_argument(flag, default=param.default, **kwargs)
 
 
 def _add_adaptive_args(sub_parser: argparse.ArgumentParser) -> None:
@@ -363,6 +249,11 @@ def add_execution_args(
         )
 
 
+def _store_dir(args: argparse.Namespace) -> str | None:
+    """``--store DIR``, else ``$REPRO_STORE``, else ``None``."""
+    return getattr(args, "store", None) or os.environ.get("REPRO_STORE") or None
+
+
 def execution_config_from_args(
     args: argparse.Namespace,
     parser: argparse.ArgumentParser | None = None,
@@ -410,17 +301,13 @@ def execution_config_from_args(
             f"{args.max_replications}"
         )
     no_store = getattr(args, "no_store", False)
-    store_flag = getattr(args, "store", None)
-    if no_store and store_flag:
+    if no_store and args.store:
         fail(
             "--store DIR and --no-store contradict each other; pass at "
             "most one (--no-store exists to override $REPRO_STORE for "
             "one run)"
         )
-    if no_store:
-        store_dir = None
-    else:
-        store_dir = store_flag or os.environ.get("REPRO_STORE") or None
+    store_dir = None if no_store else _store_dir(args)
     try:
         return ExecutionConfig(
             workers=getattr(args, "workers", 1),
@@ -439,6 +326,25 @@ def execution_config_from_args(
         raise AssertionError("unreachable") from exc
 
 
+def scenario_spec_from_args(
+    args: argparse.Namespace,
+    parser: argparse.ArgumentParser | None = None,
+) -> ScenarioSpec:
+    """The :class:`ScenarioSpec` a run subcommand's flags spell.
+
+    The subcommand is the model, its generated flags are the params
+    and the execution flags fold into the spec's ``execution`` — so
+    ``repro fig 14 --horizon 2`` is ``scenario run`` of this spec.
+    """
+    params = {key: getattr(args, key) for key in params_schema(args.command)}
+    return ScenarioSpec(
+        name=args.command,
+        model=args.command,
+        params=params,
+        execution=execution_config_from_args(args, parser),
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -448,104 +354,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available artifacts")
 
-    fig = sub.add_parser("fig", help="regenerate a figure (4-9, 14, 15)")
-    fig.add_argument("number", type=int, choices=[4, 5, 6, 7, 8, 9, 14, 15])
-    fig.add_argument("--horizon", type=float, default=None, help="simulated seconds")
-    fig.add_argument("--seed", type=int, default=2010)
-    add_execution_args(fig)
-
-    table = sub.add_parser("table", help="regenerate a delta table (4-6)")
-    table.add_argument("number", type=int, choices=[4, 5, 6])
-    table.add_argument("--horizon", type=float, default=1000.0)
-    table.add_argument("--seed", type=int, default=2010)
-    add_execution_args(table)
-
-    node = sub.add_parser("node-sweep", help="Figs. 14/15 node threshold sweep")
-    node.add_argument("--workload", choices=["closed", "open"], default="closed")
-    node.add_argument("--horizon", type=float, default=900.0)
-    node.add_argument("--seed", type=int, default=2010)
-    add_execution_args(node)
-
-    val = sub.add_parser(
-        "validate", help="Section V IMote2 validation (Tables VIII-X)"
-    )
-    val.add_argument("--seed", type=int, default=2010)
-    add_execution_args(val)
-
-    network = sub.add_parser(
-        "network", help="sharded multi-node network scenario"
-    )
-    _add_topology_args(network)
-    network.add_argument(
-        "--failure-rate",
-        type=_nonneg_float,
-        default=0.0,
-        help=(
-            "per-node exponential failure rate (1/s) for churn; dead "
-            "relays rewire their orphans to the nearest live relay "
-            "(default 0 = immortal nodes)"
+    runs = {
+        "fig": ("regenerate a figure (4-9, 14, 15)", {}),
+        "table": ("regenerate a delta table (4-6)", {}),
+        "node-sweep": ("Figs. 14/15 node threshold sweep", {}),
+        "validate": ("Section V IMote2 validation (Tables VIII-X)", {}),
+        "network": (
+            "sharded multi-node network scenario",
+            {"replications": False, "engine": False, "shards": True},
         ),
-    )
-    network.add_argument(
-        "--duty-spread",
-        type=_fraction,
-        default=0.0,
-        help=(
-            "half-width of the uniform per-node duty-cycle factor, in "
-            "[0, 1): each node senses at base-rate x (1 +/- spread) "
-            "(default 0 = identical nodes)"
-        ),
-    )
-    network.add_argument(
-        "--traffic",
-        choices=["poisson", "bursty"],
-        default="poisson",
-        help=(
-            "arrival process: poisson (the paper's) or bursty "
-            "mean-rate-preserving MMPP/on-off"
-        ),
-    )
-    network.add_argument(
-        "--burst-on",
-        type=_positive_float,
-        default=5.0,
-        help="mean burst (ON) duration in seconds for --traffic bursty",
-    )
-    network.add_argument(
-        "--burst-off",
-        type=_positive_float,
-        default=15.0,
-        help="mean quiet (OFF) duration in seconds for --traffic bursty",
-    )
-    network.add_argument(
-        "--burst-off-fraction",
-        type=_fraction,
-        default=0.0,
-        help=(
-            "quiet-state emission rate as a fraction of the burst rate, "
-            "in [0, 1) (default 0 = silent between bursts)"
-        ),
-    )
-    network.add_argument(
-        "--threshold",
-        type=float,
-        default=0.01,
-        help="Power_Down_Threshold for the single run (default 0.01 s)",
-    )
-    network.add_argument(
-        "--sweep",
-        action="store_true",
-        help="sweep the network threshold grid instead of one run",
-    )
-    network.add_argument("--horizon", type=float, default=300.0)
-    network.add_argument(
-        "--base-rate",
-        type=float,
-        default=0.5,
-        help="events/s sensed by each node before relaying (default 0.5)",
-    )
-    network.add_argument("--seed", type=int, default=2010)
-    add_execution_args(network, replications=False, engine=False, shards=True)
+    }
+    for model, (help_text, execution) in runs.items():
+        run = sub.add_parser(model, help=help_text)
+        _add_param_args(run, model)
+        add_execution_args(run, **execution)
 
     topology = sub.add_parser(
         "topology",
@@ -559,18 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "relay load for the selected topology"
         ),
     )
-    _add_topology_args(topology)
-    topology.add_argument(
-        "--base-rate",
-        type=float,
-        default=0.5,
-        help="events/s sensed by each node before relaying (default 0.5)",
-    )
-    topology.add_argument(
-        "--seed",
-        type=int,
-        default=2010,
-        help="layout seed for generated topologies (default 2010)",
+    _add_param_args(
+        topology,
+        "network",
+        keys=_TOPOLOGY_KEYS,
+        helps={"seed": "layout seed for generated topologies (default 2010)"},
     )
 
     scenario = sub.add_parser(
@@ -815,8 +630,6 @@ def _cmd_serve(
 def _cmd_query(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from .scenarios import ScenarioError
-    from .scenarios.spec import _parse_text
     from .serving import ServerError, fetch_stats, query_server
 
     try:
@@ -826,21 +639,16 @@ def _cmd_query(
             return 0
         if not args.file:
             parser.error("query needs a scenario FILE (or --stats)")
-        path = Path(args.file)
-        try:
-            data = _parse_text(path, path.read_text())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # The raw mapping travels as-is: the *server* owns validation,
-        # so client and `scenario run` reject specs with one voice.
-        request: dict[str, Any] = {"scenario": data}
-        if args.override:
-            request["overrides"] = list(args.override)
-        if args.smoke:
-            request["smoke"] = True
+        # Validated here exactly as `scenario run` validates; the
+        # server re-validates the round-tripped spec the same way.
+        spec = load_scenario(
+            args.file, overrides=args.override, smoke=args.smoke
+        )
         snapshot = query_server(
-            args.server, request, mode=args.mode, timeout=args.timeout
+            args.server,
+            {"scenario": spec.to_dict()},
+            mode=args.mode,
+            timeout=args.timeout,
         )
     except (ScenarioError, ServerError, TimeoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -871,11 +679,18 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_scenario(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> int:
-    from .scenarios import ScenarioError, load_scenario, run_scenario
+def _run(spec: ScenarioSpec) -> int:
+    """Run one spec; a configuration error is a message and exit 2."""
+    try:
+        return run_scenario(spec)
+    except ValueError as exc:
+        # e.g. a spec pairing engine=vectorized with a network model —
+        # a user configuration error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         spec = load_scenario(
             args.file, overrides=args.override, smoke=args.smoke
@@ -892,455 +707,13 @@ def _cmd_scenario(
     if args.action == "show":
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
-    try:
-        return run_scenario(spec)
-    except ValueError as exc:
-        # e.g. a spec pairing engine=vectorized with a network model —
-        # a user configuration error, not a crash.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def run_fig(
-    number: int,
-    *,
-    horizon: float | None = None,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """Regenerate one figure; prints the same rows the benchmarks persist.
-
-    ``rx`` is the resolved execution configuration (default: serial,
-    no store).  Called by both the ``fig`` subcommand and the scenario
-    runner, so flag-spelled and scenario-spelled runs share one code
-    path and print byte-identical output.
-    """
-    rx = rx if rx is not None else ExecutionConfig().resolve()
-    if number in (14, 15):
-        workload = "closed" if number == 14 else "open"
-        horizon_s = horizon if horizon is not None else 900.0
-        sweep = run_node_energy_sweep(
-            NodeSweepConfig(workload=workload, horizon=horizon_s, seed=seed),
-            exec_cfg=rx,
-        )
-        print(
-            format_breakdown_sweep(
-                sweep.thresholds,
-                sweep.breakdowns,
-                title=f"Figure {number} ({workload} model, {horizon_s:.0f} s)",
-            )
-        )
-        t_opt, e_opt = sweep.optimum()
-        print(
-            format_optimum_summary(
-                workload, t_opt, e_opt,
-                sweep.savings_vs_immediate(), sweep.savings_vs_never(),
-            )
-        )
-        _print_replication_ci(sweep)
-        return 0
-    pud = _FIG_TO_PUD[number]
-    horizon_s = horizon if horizon is not None else 1000.0
-    result = run_cpu_comparison(
-        pud,
-        CPUComparisonConfig(horizon=horizon_s, seed=seed),
-        exec_cfg=rx,
-    )
-    if number <= 6:
-        for est in ("simulation", "markov", "petri"):
-            print(
-                format_state_percentages(
-                    result.thresholds,
-                    result.fractions[est],
-                    title=f"Figure {number} (PUD={pud:g}s) — {est}",
-                )
-            )
-            print()
-    else:
-        print(
-            format_energy_series(
-                result.thresholds,
-                {
-                    "Simulation": result.energy_j["simulation"],
-                    "Markov": result.energy_j["markov"],
-                    "Petri Net": result.energy_j["petri"],
-                },
-                title=f"Figure {number} (PUD={pud:g}s)",
-            )
-        )
-    _print_cpu_replication_ci(result)
-    return 0
-
-
-def _cmd_fig(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_fig(args.number, horizon=args.horizon, seed=args.seed, rx=rx)
-
-
-def _format_pm(ci) -> str:
-    """``± width`` for a usable interval, ``n/a`` for an R=1 one.
-
-    A single replication has an infinite half-width; printing ``± inf``
-    reads like a formatting bug, so say what it is instead.
-    """
-    if not math.isfinite(ci.half_width):
-        n = ci.batches
-        return f"n/a ({n} replication{'s' if n != 1 else ''})"
-    return f"± {ci.half_width:.4f}"
-
-
-def _convergence_tag(replications: int, converged: bool) -> str:
-    """The per-point adaptive outcome, e.g. ``[ 4 reps, converged]``."""
-    status = "converged" if converged else "hit max"
-    return f"[{replications:3d} reps, {status}]"
-
-
-def _print_adaptive_point_cis(sweep, metric_label: str) -> None:
-    """Per-point adaptive outcome lines shared by every sweep command."""
-    print(
-        f"\nadaptive replications (ci-target {sweep.ci_target:g}, "
-        f"{metric_label}, 95% t-interval):"
-    )
-    for threshold, ci, n, ok in zip(
-        sweep.thresholds,
-        sweep.energy_ci(),
-        sweep.replication_counts,
-        sweep.converged,
-    ):
-        print(
-            f"  PDT {threshold:<12g} {ci.mean:10.4f} J "
-            f"{_format_pm(ci)}  {_convergence_tag(n, ok)}"
-        )
-
-
-def _print_replication_ci(sweep) -> None:
-    """Print per-point mean ± t-interval rows for a replicated sweep."""
-    if sweep.ci_target is not None:
-        _print_adaptive_point_cis(sweep, "total energy")
-        return
-    if sweep.replications <= 1:
-        return
-    print(
-        f"\nacross {sweep.replications} replications "
-        "(total energy, 95% t-interval):"
-    )
-    for threshold, ci in zip(sweep.thresholds, sweep.energy_ci()):
-        print(
-            f"  PDT {threshold:<12g} {ci.mean:10.4f} J "
-            f"{_format_pm(ci)}"
-        )
-
-
-def _print_cpu_replication_ci(result) -> None:
-    """Print per-point energy t-intervals for a replicated CPU sweep."""
-    if result.replications <= 1 or result.energy_ci is None:
-        return
-    if result.ci_target is not None:
-        print(
-            f"\nadaptive replications (ci-target {result.ci_target:g}, "
-            "energy, 95% t-interval; printed values above are means):"
-        )
-    else:
-        print(
-            f"\nacross {result.replications} replications "
-            "(energy, 95% t-interval; printed values above are means):"
-        )
-    for est in ("simulation", "petri"):
-        print(f"  {est}:")
-        for i, (threshold, ci) in enumerate(
-            zip(result.thresholds, result.energy_ci[est])
-        ):
-            tag = (
-                "  "
-                + _convergence_tag(
-                    result.replication_counts[i], result.converged[i]
-                )
-                if result.ci_target is not None
-                else ""
-            )
-            print(
-                f"    PDT {threshold:<8g} {ci.mean:10.4f} J "
-                f"{_format_pm(ci)}{tag}"
-            )
-    print("  markov: deterministic (no sampling variance)")
-
-
-def run_table(
-    number: int,
-    *,
-    horizon: float = 1000.0,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """Regenerate one delta table (IV-VI); see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
-    pud = _TABLE_TO_PUD[number]
-    result = run_cpu_comparison(
-        pud,
-        CPUComparisonConfig(horizon=horizon, seed=seed),
-        exec_cfg=rx,
-    )
-    print(
-        format_delta_table(
-            result.delta_energy(), pud, _TABLE_NUMERALS[number]
-        )
-    )
-    _print_cpu_replication_ci(result)
-    return 0
-
-
-def _cmd_table(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_table(args.number, horizon=args.horizon, seed=args.seed, rx=rx)
-
-
-def run_node_sweep(
-    *,
-    workload: str = "closed",
-    horizon: float = 900.0,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """The Figs. 14/15 threshold sweep; see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
-    sweep = run_node_energy_sweep(
-        NodeSweepConfig(workload=workload, horizon=horizon, seed=seed),
-        exec_cfg=rx,
-    )
-    print(
-        format_breakdown_sweep(
-            sweep.thresholds,
-            sweep.breakdowns,
-            title=f"Node sweep ({workload}, {horizon:.0f} s)",
-        )
-    )
-    t_opt, e_opt = sweep.optimum()
-    print(
-        format_optimum_summary(
-            workload, t_opt, e_opt,
-            sweep.savings_vs_immediate(), sweep.savings_vs_never(),
-        )
-    )
-    _print_replication_ci(sweep)
-    return 0
-
-
-def _cmd_node_sweep(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_node_sweep(
-        workload=args.workload, horizon=args.horizon, seed=args.seed, rx=rx
-    )
-
-
-def run_validate(
-    *,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """The Section V validation tables; see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
-    result = run_simple_node_validation(
-        ValidationConfig(seed=seed),
-        exec_cfg=rx,
-    )
-    print(format_steady_state_table(result.petri.stage_probabilities))
-    print()
-    print(format_validation_table(result.table_rows()))
-    n = result.replications
-    if n > 1:
-        ci = result.percent_difference_ci()
-        line = (
-            f"\npercent difference across {n} replications: "
-            f"{ci.mean:.2f}% {_format_pm(ci)} (95% t-interval)"
-        )
-        if result.converged is not None:
-            line += f"  {_convergence_tag(n, result.converged)}"
-        print(line)
-    else:
-        print("\npercent difference uncertainty: n/a (1 replication)")
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_validate(seed=args.seed, rx=rx)
-
-
-def run_network(
-    *,
-    topology: str = "line",
-    nodes: int = 5,
-    grid: tuple[int, int] = (10, 10),
-    threshold: float = 0.01,
-    sweep: bool = False,
-    horizon: float = 300.0,
-    base_rate: float = 0.5,
-    seed: int = 2010,
-    radius: float | None = None,
-    fanout: int = 3,
-    depth: int = 3,
-    failure_rate: float = 0.0,
-    duty_spread: float = 0.0,
-    traffic: str = "poisson",
-    burst_on: float = 5.0,
-    burst_off: float = 15.0,
-    burst_off_fraction: float = 0.0,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """One network scenario or threshold sweep; see :func:`run_fig` on ``rx``.
-
-    The scenario-diversity knobs compose freely: generated topologies
-    (``geometric`` / ``cluster-tree`` with ``radius`` / ``fanout`` /
-    ``depth``), node churn (``failure_rate`` / ``duty_spread``) and
-    bursty arrivals (``traffic="bursty"`` with the ``burst_*`` shape).
-    All default to the paper's static Poisson setup.
-    """
-    rx = rx if rx is not None else ExecutionConfig().resolve()
-    width, height = grid
-    if traffic not in ("poisson", "bursty"):
-        raise ValueError(
-            f"traffic must be 'poisson' or 'bursty', got {traffic!r}"
-        )
-    dynamics = ChurnModel(failure_rate=failure_rate, duty_spread=duty_spread)
-    config = NetworkScenarioConfig(
-        topology=make_topology(
-            topology,
-            nodes=nodes,
-            width=width,
-            height=height,
-            radius=radius,
-            fanout=fanout,
-            depth=depth,
-            seed=seed,
-        ),
-        horizon=horizon,
-        base_rate=base_rate,
-        seed=seed,
-        params=NodeParameters(power_down_threshold=threshold),
-        dynamics=dynamics if dynamics.is_active() else None,
-        traffic=(
-            MMPPTraffic(
-                burst_on_s=burst_on,
-                burst_off_s=burst_off,
-                off_fraction=burst_off_fraction,
-            )
-            if traffic == "bursty"
-            else None
-        ),
-    )
-    run_info = (
-        f"(workers={rx.workers}, shards={rx.shards}, "
-        f"{rx.shard_strategy})"
-    )
-    if sweep:
-        sweep_result = run_network_lifetime_sweep(config, exec_cfg=rx)
-        print(
-            format_table(
-                [
-                    "PDT (s)",
-                    "network energy (J)",
-                    "network lifetime (d)",
-                    "hotspot node",
-                    "imbalance (x)",
-                ],
-                sweep_result.rows(),
-                title=(
-                    f"Network lifetime sweep: {sweep_result.topology} "
-                    f"{run_info}"
-                ),
-            )
-        )
-        if sweep_result.ci_target is not None:
-            _print_adaptive_point_cis(sweep_result, "network energy")
-        best = sweep_result.best()
-        print(
-            f"\nbest threshold for the network: "
-            f"{best.power_down_threshold:g} s -> "
-            f"{best.network_lifetime_days:.2f} days"
-        )
-        return 0
-    result = run_network_scenario(config, exec_cfg=rx)
-    print(f"network scenario {run_info}")
-    if rx.ci_target is not None:
-        print(format_network_summary(result.result))
-        energy_ci = result.energy_ci()
-        lifetime_ci = result.lifetime_ci()
-        print(
-            f"adaptive replication   : "
-            f"{_convergence_tag(result.replications, result.converged)} "
-            f"at ci-target {result.ci_target:g}\n"
-            f"energy across reps     : {energy_ci.mean:.4f} J "
-            f"{_format_pm(energy_ci)}\n"
-            f"lifetime across reps   : {lifetime_ci.mean:.2f} days "
-            f"{_format_pm(lifetime_ci)}"
-        )
-        return 0
-    print(format_network_summary(result))
-    return 0
-
-
-def _cmd_network(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_network(
-        topology=args.topology,
-        nodes=args.nodes,
-        grid=args.grid,
-        threshold=args.threshold,
-        sweep=args.sweep,
-        horizon=args.horizon,
-        base_rate=args.base_rate,
-        seed=args.seed,
-        radius=args.radius,
-        fanout=args.fanout,
-        depth=args.depth,
-        failure_rate=args.failure_rate,
-        duty_spread=args.duty_spread,
-        traffic=args.traffic,
-        burst_on=args.burst_on,
-        burst_off=args.burst_off,
-        burst_off_fraction=args.burst_off_fraction,
-        rx=rx,
-    )
-
-
-def run_topology_describe(
-    *,
-    topology: str = "line",
-    nodes: int = 5,
-    grid: tuple[int, int] = (10, 10),
-    radius: float | None = None,
-    fanout: int = 3,
-    depth: int = 3,
-    base_rate: float = 0.5,
-    seed: int = 2010,
-) -> int:
-    """Print a deterministic structural report for a topology spec.
-
-    No simulation runs: the report (node count, depth histogram,
-    per-hop relay load, hotspot) is a pure function of the topology
-    arguments, which CI pins by diffing two invocations.
-    """
-    width, height = grid
-    topo = make_topology(
-        topology,
-        nodes=nodes,
-        width=width,
-        height=height,
-        radius=radius,
-        fanout=fanout,
-        depth=depth,
-        seed=seed,
-    )
-    print(describe_topology(topo, base_rate))
-    return 0
+    return _run(spec)
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    return run_topology_describe(
-        topology=args.topology,
-        nodes=args.nodes,
-        grid=args.grid,
-        radius=args.radius,
-        fanout=args.fanout,
-        depth=args.depth,
-        base_rate=args.base_rate,
-        seed=args.seed,
-    )
+    """A deterministic structural report; no simulation runs."""
+    print(describe_topology(topology_from_params(vars(args)), args.base_rate))
+    return 0
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
@@ -1369,8 +742,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--serve port must be in 0..65535, got {args.serve}")
     if args.command == "serve" and not 0 <= args.port <= 65535:
         parser.error(f"--port must be in 0..65535, got {args.port}")
+    if args.command in SCENARIO_MODELS:
+        return _run(scenario_spec_from_args(args, parser))
     if args.command == "store":
-        args.store = args.store or os.environ.get("REPRO_STORE")
+        args.store = _store_dir(args)
         if not args.store:
             parser.error("store requires --store DIR (or $REPRO_STORE)")
         return _cmd_store(args)
@@ -1383,28 +758,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "topology":
         return _cmd_topology(args)
     if args.command == "scenario":
-        return _cmd_scenario(args, parser)
+        return _cmd_scenario(args)
     if args.command == "serve":
         return _cmd_serve(args, parser)
     if args.command == "query":
         return _cmd_query(args, parser)
-    run_commands = {
-        "fig": _cmd_fig,
-        "table": _cmd_table,
-        "node-sweep": _cmd_node_sweep,
-        "validate": _cmd_validate,
-        "network": _cmd_network,
-    }
-    if args.command in run_commands:
-        # One ExecutionConfig per invocation, resolved once, so store
-        # hit/miss counters accumulate across the run and persist
-        # (flush) for `store stats`.
-        rx = execution_config_from_args(args, parser).resolve()
-        try:
-            return run_commands[args.command](args, rx)
-        finally:
-            if rx.store is not None:
-                rx.store.flush_counters()
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -8,7 +8,7 @@ CLI subcommand.  :class:`ExecutionConfig` collapses that plumbing into
 a single frozen, serialisable value:
 
 * **declarative** — plain data (strings, ints, paths), so it can live
-  in a scenario file, an environment, or a test parametrisation;
+  in a scenario file, a request body, or a test parametrisation;
 * **validated** — every field is checked on construction with an error
   that names the field, so schema fuzzing gets precise rejections;
 * **resolvable** — :meth:`ExecutionConfig.resolve` builds the live
@@ -167,33 +167,6 @@ class ExecutionConfig:
                     f"floor under ci_target and must be <= "
                     f"max_replications {self.max_replications}"
                 )
-
-    @classmethod
-    def from_env(
-        cls, environ: Mapping[str, str] | None = None, **overrides: Any
-    ) -> "ExecutionConfig":
-        """Build a config from the environment plus explicit overrides.
-
-        Recognised variables: ``REPRO_STORE`` (store directory, the
-        historical CLI variable), ``REPRO_WORKERS`` (pool size) and
-        ``REPRO_ENGINE``.  Keyword overrides win over the environment.
-        """
-        env = os.environ if environ is None else environ
-        values: dict[str, Any] = {}
-        if env.get("REPRO_STORE"):
-            values["store_dir"] = env["REPRO_STORE"]
-        if env.get("REPRO_WORKERS"):
-            try:
-                values["workers"] = int(env["REPRO_WORKERS"])
-            except ValueError:
-                raise ValueError(
-                    f"$REPRO_WORKERS must be an integer, "
-                    f"got {env['REPRO_WORKERS']!r}"
-                ) from None
-        if env.get("REPRO_ENGINE"):
-            values["engine"] = env["REPRO_ENGINE"]
-        values.update(overrides)
-        return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-serialisable mapping of every field."""

@@ -59,8 +59,12 @@ __all__ = [
     "ScenarioError",
     "ScenarioSpec",
     "apply_overrides",
+    "current_params",
     "load_scenario",
+    "params_schema",
     "parse_override",
+    "parse_value",
+    "spec_from_mapping",
 ]
 
 #: Current schema version; bumped on incompatible schema changes.
@@ -145,6 +149,7 @@ def _choice(choices: tuple[Any, ...]) -> Callable[[str, Any], Any]:
             )
         return value
 
+    check.choices = choices  # type: ignore[attr-defined]
     return check
 
 
@@ -180,18 +185,39 @@ def _grid(key: str, value: Any) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Param:
-    """One model parameter: its default (or required) and its check."""
+    """One model parameter: its default (or required), check and CLI help.
+
+    The run subcommands' flags are generated from these entries, so
+    ``help`` and ``metavar`` are the flag's help text and placeholder.
+    """
 
     default: Any
     check: Callable[[str, Any], Any]
+    help: str | None = None
+    metavar: str | None = None
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+    @property
+    def switch(self) -> bool:
+        """True for an on/off parameter (a bare ``--flag``)."""
+        return self.check is _bool
+
+    @property
+    def choices(self) -> tuple[Any, ...] | None:
+        return getattr(self.check, "choices", None)
 
 
-#: Per-model parameter schema.  Defaults mirror the CLI flag defaults
-#: exactly, so an empty ``params`` block equals the bare subcommand.
+#: Per-model parameter schema — the one source of every run
+#: parameter's default, check and flag (``repro.cli`` generates the
+#: ``fig``/``table``/``node-sweep``/``validate``/``network`` flags
+#: from it), so an empty ``params`` block equals the bare subcommand.
 _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
     "fig": {
         "number": _Param(_REQUIRED, _choice((4, 5, 6, 7, 8, 9, 14, 15))),
-        "horizon": _Param(None, _opt_pos_float),
+        "horizon": _Param(None, _opt_pos_float, "simulated seconds"),
         "seed": _Param(2010, _int),
     },
     "table": {
@@ -209,12 +235,34 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
     },
     "network": {
         "topology": _Param("line", _choice(("line", "star", "grid"))),
-        "nodes": _Param(5, _pos_int),
-        "grid": _Param((10, 10), _grid),
-        "threshold": _Param(0.01, _pos_float),
-        "sweep": _Param(False, _bool),
+        "nodes": _Param(
+            5,
+            _pos_int,
+            "chain length (line), leaf count (star) or deployment size "
+            "(geometric); ignored for grid and cluster-tree",
+        ),
+        "grid": _Param(
+            (10, 10),
+            _grid,
+            "grid dimensions for --topology grid (default 10x10)",
+            metavar="WxH",
+        ),
+        "threshold": _Param(
+            0.01,
+            _pos_float,
+            "Power_Down_Threshold for the single run (default 0.01 s)",
+        ),
+        "sweep": _Param(
+            False,
+            _bool,
+            "sweep the network threshold grid instead of one run",
+        ),
         "horizon": _Param(300.0, _pos_float),
-        "base_rate": _Param(0.5, _pos_float),
+        "base_rate": _Param(
+            0.5,
+            _pos_float,
+            "events/s sensed by each node before relaying (default 0.5)",
+        ),
         "seed": _Param(2010, _int),
     },
 }
@@ -229,22 +277,62 @@ _MODEL_PARAMS_V2: dict[str, dict[str, _Param]] = {
             "line",
             _choice(("line", "star", "grid", "geometric", "cluster-tree")),
         ),
-        "radius": _Param(None, _opt_pos_float),
-        "fanout": _Param(3, _pos_int),
-        "depth": _Param(3, _pos_int),
-        "failure_rate": _Param(0.0, _nonneg_float),
-        "duty_spread": _Param(0.0, _fraction),
-        "traffic": _Param("poisson", _choice(("poisson", "bursty"))),
-        "burst_on": _Param(5.0, _pos_float),
-        "burst_off": _Param(15.0, _pos_float),
-        "burst_off_fraction": _Param(0.0, _fraction),
+        "radius": _Param(
+            None,
+            _opt_pos_float,
+            "connectivity radius for --topology geometric (default: "
+            "auto-sized from the node count; retried/grown "
+            "deterministically if the deployment comes out disconnected)",
+        ),
+        "fanout": _Param(
+            3, _pos_int, "children per cluster head for --topology cluster-tree"
+        ),
+        "depth": _Param(3, _pos_int, "tree depth for --topology cluster-tree"),
+        "failure_rate": _Param(
+            0.0,
+            _nonneg_float,
+            "per-node exponential failure rate (1/s) for churn; dead "
+            "relays rewire their orphans to the nearest live relay "
+            "(default 0 = immortal nodes)",
+        ),
+        "duty_spread": _Param(
+            0.0,
+            _fraction,
+            "half-width of the uniform per-node duty-cycle factor, in "
+            "[0, 1): each node senses at base-rate x (1 +/- spread) "
+            "(default 0 = identical nodes)",
+        ),
+        "traffic": _Param(
+            "poisson",
+            _choice(("poisson", "bursty")),
+            "arrival process: poisson (the paper's) or bursty "
+            "mean-rate-preserving MMPP/on-off",
+        ),
+        "burst_on": _Param(
+            5.0,
+            _pos_float,
+            "mean burst (ON) duration in seconds for --traffic bursty",
+        ),
+        "burst_off": _Param(
+            15.0,
+            _pos_float,
+            "mean quiet (OFF) duration in seconds for --traffic bursty",
+        ),
+        "burst_off_fraction": _Param(
+            0.0,
+            _fraction,
+            "quiet-state emission rate as a fraction of the burst rate, "
+            "in [0, 1) (default 0 = silent between bursts)",
+        ),
     },
 }
 
 _OUTPUT_FORMATS = ("text",)
 
 
-def _params_schema(model: str, version: int) -> dict[str, _Param]:
+def params_schema(
+    model: str, version: int = SPEC_VERSION
+) -> dict[str, _Param]:
     """The parameter schema a spec of ``version`` validates against."""
     schema = dict(_MODEL_PARAMS[model])
     if version >= 2:
@@ -262,11 +350,11 @@ def _validate_params(
         raise ScenarioError(
             f"params must be a mapping, got {params!r}"
         )
-    schema = _params_schema(model, version)
+    schema = params_schema(model, version)
     unknown = sorted(set(params) - set(schema))
     if unknown:
         key = unknown[0]
-        if key in _params_schema(model, SPEC_VERSION):
+        if key in params_schema(model):
             raise ScenarioError(
                 f"params key 'params.{key}' requires scenario schema "
                 f"version 2 or later (this spec declares version {version})"
@@ -279,13 +367,22 @@ def _validate_params(
     for key, param in schema.items():
         if key in params:
             out[key] = param.check(f"params.{key}", params[key])
-        elif param.default is _REQUIRED:
+        elif param.required:
             raise ScenarioError(
                 f"missing required key 'params.{key}' for model {model!r}"
             )
         else:
             out[key] = param.default
     return out
+
+
+def current_params(model: str, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Validated ``params`` read under the current schema version.
+
+    A version-1 spec carries only the v1 keys; this fills every later
+    key with its schema default, so a run never spells a default itself.
+    """
+    return _validate_params(model, params)
 
 
 def _validate_outputs(outputs: Any) -> dict[str, Any]:
@@ -454,15 +551,6 @@ class ScenarioSpec:
             }
         )
 
-    def validate(self) -> "ScenarioSpec":
-        """Explicit no-op hook: construction already validated.
-
-        Exists so call sites can spell their intent
-        (``load_scenario(p).validate()``) and as the seam where future
-        schema versions would run migrations.
-        """
-        return self
-
     def with_overrides(
         self, overrides: Mapping[str, Any] | list[str]
     ) -> "ScenarioSpec":
@@ -472,12 +560,22 @@ class ScenarioSpec:
         )
 
 
-def parse_override(text: str) -> tuple[str, Any]:
-    """Parse one ``KEY=VALUE`` override.
+def parse_value(text: str) -> Any:
+    """An override (or generated flag) value: JSON if it parses, else text.
 
-    The value is parsed as JSON when possible (numbers, booleans,
-    lists), else kept as a literal string — so
-    ``params.horizon=2.5``, ``execution.backend=processes`` and
+    So ``2.5``, ``true`` and ``[3,3]`` become a number, a boolean and a
+    list, while ``processes`` or ``3x3`` stay literal strings.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def parse_override(text: str) -> tuple[str, Any]:
+    """Parse one ``KEY=VALUE`` override; the value via :func:`parse_value`.
+
+    So ``params.horizon=2.5``, ``execution.backend=processes`` and
     ``params.grid=[3,3]`` all do the obvious thing.
     """
     key, sep, value = text.partition("=")
@@ -486,10 +584,7 @@ def parse_override(text: str) -> tuple[str, Any]:
             f"override must be KEY=VALUE (e.g. params.horizon=2.5), "
             f"got {text!r}"
         )
-    try:
-        return key, json.loads(value)
-    except json.JSONDecodeError:
-        return key, value
+    return key, parse_value(value)
 
 
 def apply_overrides(
@@ -556,17 +651,32 @@ def _parse_text(path: Path, text: str) -> Any:
     )
 
 
+def spec_from_mapping(
+    data: Mapping[str, Any],
+    overrides: Mapping[str, Any] | list[str] = (),
+    smoke: bool = False,
+) -> ScenarioSpec:
+    """Validate a raw spec mapping, after its smoke block and overrides.
+
+    With ``smoke=True`` the spec's own ``smoke`` block of dotted-path
+    overrides is applied first (the CI-scale shape of the scenario);
+    explicit ``overrides`` are applied after, so they win.  The one
+    path from a mapping to a spec, for files and served requests alike.
+    """
+    data = dict(data)
+    if smoke:
+        data = apply_overrides(data, _validate_smoke(data.get("smoke")))
+    if overrides:
+        data = apply_overrides(data, overrides)
+    return ScenarioSpec.from_dict(data)
+
+
 def load_scenario(
     path: str | Path,
     overrides: Mapping[str, Any] | list[str] = (),
     smoke: bool = False,
 ) -> ScenarioSpec:
-    """Load and validate a scenario file.
-
-    With ``smoke=True`` the spec's own ``smoke`` block of dotted-path
-    overrides is applied first (the CI-scale shape of the scenario);
-    explicit ``overrides`` are applied after, so they win.
-    """
+    """Load and validate a scenario file; see :func:`spec_from_mapping`."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -577,9 +687,4 @@ def load_scenario(
         raise ScenarioError(
             f"a scenario spec must be a mapping, got {data!r} in {path}"
         )
-    data = dict(data)
-    if smoke:
-        data = apply_overrides(data, _validate_smoke(data.get("smoke")))
-    if overrides:
-        data = apply_overrides(data, overrides)
-    return ScenarioSpec.from_dict(data)
+    return spec_from_mapping(data, overrides, smoke)

@@ -4,11 +4,11 @@ A service instance owns one long-lived
 :class:`~repro.runtime.config.ResolvedExecution` — backend and result
 store resolved **once** and reused across every request — and executes
 ScenarioSpec-shaped requests against it.  Each request is validated
-through the same :class:`~repro.scenarios.ScenarioSpec` schema as
-``repro.cli scenario run``, dispatched through the same
-:func:`~repro.scenarios.run_scenario` runner, and keyed into the same
-content-addressed store — which is what makes the serving invariant
-hold *by construction*:
+through the same :func:`~repro.scenarios.spec_from_mapping` path as
+``repro.cli scenario run``, rendered by the same
+:func:`~repro.scenarios.render_scenario` (which returns the text a run
+prints), and keyed into the same content-addressed store — which is
+what makes the serving invariant hold *by construction*:
 
     **A served response is byte-identical to the equivalent
     ``scenario run``**, and a warm request (every task already in the
@@ -34,29 +34,30 @@ use), but the *live* backend and store are the service's own, so a
 request can never point the server at a different store directory or
 worker fleet.
 
-Jobs run on a single worker thread, FIFO.  That serialisation is
-deliberate: output capture redirects the process-global ``sys.stdout``
-while a job's run functions print, and the result store counters are
-snapshotted per job — one job at a time keeps both exact.  Job states
-are ``queued → running → done | failed | cancelled``; identical
+Jobs run on a single worker thread, FIFO, sharing the service's one
+backend; a job's output is the string its renderer returns, so nothing
+process-global is captured.  Job states are ``queued → running → done
+| failed | cancelled``; only a ``done`` job carries output.  Identical
 in-flight requests (same :func:`~repro.runtime.store.request_key`)
 coalesce onto one job.
 """
 
 from __future__ import annotations
 
-import io
 import threading
 import time
 from collections import deque
 from collections.abc import Mapping
-from contextlib import redirect_stdout
 from typing import Any
 
 from ..runtime.config import ExecutionConfig
 from ..runtime.store import request_key
-from ..scenarios import ScenarioError, ScenarioSpec, run_scenario
-from ..scenarios.spec import _validate_smoke, apply_overrides
+from ..scenarios import (
+    ScenarioError,
+    ScenarioSpec,
+    render_scenario,
+    spec_from_mapping,
+)
 
 __all__ = [
     "JOB_STATES",
@@ -88,10 +89,9 @@ class JobCancelled(Exception):
 def parse_request(body: Any) -> ScenarioSpec:
     """Validate a raw request payload into a :class:`ScenarioSpec`.
 
-    Mirrors :func:`~repro.scenarios.load_scenario` minus the file I/O:
-    the ``smoke`` block is applied first when requested, explicit
-    ``overrides`` win, and every rejection is a :class:`ServiceError`
-    naming the bad key.
+    :func:`~repro.scenarios.load_scenario` minus the file I/O — both
+    go through :func:`~repro.scenarios.spec_from_mapping` — and every
+    rejection is a :class:`ServiceError` naming the bad key.
     """
     if not isinstance(body, Mapping):
         raise ServiceError(
@@ -126,12 +126,7 @@ def parse_request(body: Any) -> ScenarioSpec:
             f"or a mapping, got {overrides!r}"
         )
     try:
-        data = dict(scenario)
-        if smoke:
-            data = apply_overrides(data, _validate_smoke(data.get("smoke")))
-        if overrides:
-            data = apply_overrides(data, overrides)
-        return ScenarioSpec.from_dict(data)
+        return spec_from_mapping(scenario, overrides, smoke)
     except ScenarioError as exc:
         raise ServiceError(str(exc)) from exc
 
@@ -501,55 +496,36 @@ class SweepService:
             if store is not None else None
         )
         rx = job.spec.execution.bind(backend=self._rx.backend, store=job_store)
-        buffer = io.StringIO()
         t0 = time.perf_counter()
+        state, error, output = "done", None, ""
         try:
             if job.cancel_requested:
                 raise JobCancelled()
-            with redirect_stdout(buffer):
-                exit_code = run_scenario(job.spec, rx=rx)
+            try:
+                output = render_scenario(job.spec, rx)
+            finally:
+                if job_store is not None:
+                    job_store.flush_counters()
         except JobCancelled:
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "cancelled", error="cancelled while running",
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
-        except (ScenarioError, ValueError) as exc:
+            state, error = "cancelled", "cancelled while running"
+        except ValueError as exc:
             # A spec-level misconfiguration (e.g. engine="vectorized"
             # on a network model) — the request's fault, not a crash.
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "failed", error=str(exc),
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
+            state, error = "failed", str(exc)
         except Exception as exc:  # noqa: BLE001 - jobs must never kill the worker
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "failed", error=f"{type(exc).__name__}: {exc}",
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
-        if job_store is not None:
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        if state == "done" and job_store is not None:
             job_store._progress(force=True)
         self._account(job, job_store, t0)
         self._finish(
-            job, "done",
-            result=self._result(exit_code, buffer, job_store, t0),
+            job, state, error=error,
+            result={
+                "exit_code": 0 if state == "done" else None,
+                "output": output,
+                "store": job_store.counters() if job_store is not None else None,
+                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            },
         )
-
-    @staticmethod
-    def _result(
-        exit_code: int | None, buffer: io.StringIO,
-        job_store: _JobStore | None, t0: float,
-    ) -> dict[str, Any]:
-        return {
-            "exit_code": exit_code,
-            "output": buffer.getvalue(),
-            "store": job_store.counters() if job_store is not None else None,
-            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        }
 
     def _account(
         self, job: Job, job_store: _JobStore | None, t0: float

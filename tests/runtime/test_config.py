@@ -108,31 +108,6 @@ class TestSerialisation:
             cfg.with_overrides(workers=0)
 
 
-class TestFromEnv:
-    def test_reads_store_workers_engine(self):
-        cfg = ExecutionConfig.from_env(
-            {
-                "REPRO_STORE": "/tmp/store",
-                "REPRO_WORKERS": "3",
-                "REPRO_ENGINE": "vectorized",
-            }
-        )
-        assert cfg.store_dir == "/tmp/store"
-        assert cfg.workers == 3
-        assert cfg.engine == "vectorized"
-
-    def test_overrides_win_over_environment(self):
-        cfg = ExecutionConfig.from_env({"REPRO_WORKERS": "3"}, workers=5)
-        assert cfg.workers == 5
-
-    def test_bad_workers_named(self):
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            ExecutionConfig.from_env({"REPRO_WORKERS": "many"})
-
-    def test_empty_environment_is_defaults(self):
-        assert ExecutionConfig.from_env({}) == ExecutionConfig()
-
-
 class TestResolve:
     def test_default_resolves_to_no_backend_no_store(self):
         rx = ExecutionConfig().resolve()

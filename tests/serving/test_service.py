@@ -187,27 +187,28 @@ class TestServiceExecution:
             )
 
     def test_spec_level_value_error_fails_cleanly(self, tmp_path, monkeypatch):
-        def boom(spec, rx=None):
+        def boom(spec, rx):
             raise ValueError("engine mismatch")
 
-        monkeypatch.setattr(service_mod, "run_scenario", boom)
+        monkeypatch.setattr(service_mod, "render_scenario", boom)
         with make_service(tmp_path) as service:
             job = service.run({"scenario": SCENARIO}, timeout=30)
             assert job.state == "failed"
             assert "engine mismatch" in job.error
+            assert job.result["output"] == ""
 
     def test_unexpected_exception_fails_job_not_worker(
         self, tmp_path, monkeypatch
     ):
         calls = []
 
-        def flaky(spec, rx=None):
+        def flaky(spec, rx):
             calls.append(spec.name)
             if len(calls) == 1:
                 raise RuntimeError("boom")
-            return 0
+            return ""
 
-        monkeypatch.setattr(service_mod, "run_scenario", flaky)
+        monkeypatch.setattr(service_mod, "render_scenario", flaky)
         with make_service(tmp_path) as service:
             first = service.run({"scenario": SCENARIO}, timeout=30)
             assert first.state == "failed"
@@ -268,13 +269,13 @@ def gated(tmp_path, monkeypatch):
     started = threading.Event()
     release = threading.Event()
 
-    def gated_run(spec, rx=None):
+    def gated_render(spec, rx):
         started.set()
         if not release.wait(30):
             raise RuntimeError("gate never released")
-        return 0
+        return ""
 
-    monkeypatch.setattr(service_mod, "run_scenario", gated_run)
+    monkeypatch.setattr(service_mod, "render_scenario", gated_render)
     service = make_service(tmp_path)
     yield service, started, release
     release.set()
@@ -286,14 +287,14 @@ def spinning(tmp_path, monkeypatch):
     """A service whose jobs poll the store until cancelled."""
     started = threading.Event()
 
-    def spinning_run(spec, rx=None):
+    def spinning_render(spec, rx):
         started.set()
         key = request_key({"spin": spec.name})
         while True:
             rx.store.get(key)  # each get is a cancellation checkpoint
             time.sleep(0.005)
 
-    monkeypatch.setattr(service_mod, "run_scenario", spinning_run)
+    monkeypatch.setattr(service_mod, "render_scenario", spinning_render)
     service = make_service(tmp_path)
     yield service, started
     service.close()
@@ -361,6 +362,7 @@ class TestJobControl:
         assert job.wait(10)
         assert job.state == "cancelled"
         assert "cancelled" in job.error
+        assert job.result["output"] == ""
 
     def test_close_cancels_queued_and_running(self, spinning):
         service, started = spinning
