@@ -9,7 +9,7 @@ at the network level: which ``Power_Down_Threshold`` maximises the
 *network* lifetime (time to first node death)?
 
 The final section scales the question up: a 100-node grid simulated
-through the sharded runtime (``shards=8`` worker-group tasks), which
+through the sharded runtime (``shards=8`` contiguous node chunks), which
 is bit-identical to the serial path — sharding is an execution knob,
 not a modelling one.
 

@@ -6,7 +6,8 @@
 # Groups:
 #   runtime   parallel runtime on a tiny grid (workers + replications)
 #   adaptive  adaptive replication control (--ci-target)
-#   sharded   sharded multi-node network scenarios
+#   sharded   sharded multi-node network scenario, output diffed
+#             bit-identical against --shards 1
 #   socket    multi-host backend: 2 localhost workers, sharded sweep,
 #             output asserted bit-identical to --backend local
 #   engine    vectorized lockstep engine: a figure run diffed
@@ -66,10 +67,22 @@ smoke_adaptive() {
 
 smoke_sharded() {
     echo "--- smoke: sharded network scenarios ---"
-    $CLI network --topology grid --grid 5x4 --horizon 5 --base-rate 0.05 \
-        --shards 4 --workers 2
-    $CLI network --topology line --nodes 3 --horizon 5 --sweep \
-        --shards 2 --shard-strategy round-robin
+    # Shards are contiguous node chunks, so a sharded run must print
+    # the same numbers as the unsharded one.  The first output line
+    # records the execution shape (workers/shards) — drop it.
+    local args=(network --topology grid --grid 5x4 --horizon 5
+        --base-rate 0.05)
+    local out_serial out_sharded
+    out_serial="$(mktemp)"
+    out_sharded="$(mktemp)"
+    $CLI "${args[@]}" --shards 1 | tail -n +2 >"$out_serial"
+    $CLI "${args[@]}" --shards 4 --workers 2 | tail -n +2 >"$out_sharded"
+    if diff "$out_serial" "$out_sharded"; then
+        echo "sharded network output is bit-identical to --shards 1"
+    else
+        echo "FAIL: sharded network output differs from --shards 1" >&2
+        return 1
+    fi
 }
 
 # Start one worker on an ephemeral port, logging to $1.  Runs in the

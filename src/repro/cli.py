@@ -241,12 +241,6 @@ def add_execution_args(
                 "(default 1 = unsharded)"
             ),
         )
-        sub_parser.add_argument(
-            "--shard-strategy",
-            choices=["contiguous", "round-robin"],
-            default="contiguous",
-            help="node partition strategy for --shards > 1",
-        )
 
 
 def _store_dir(args: argparse.Namespace) -> str | None:
@@ -317,7 +311,6 @@ def execution_config_from_args(
             engine=getattr(args, "engine", "interpreted"),
             store_dir=store_dir,
             shards=getattr(args, "shards", 1),
-            shard_strategy=getattr(args, "shard_strategy", "contiguous"),
             ci_target=getattr(args, "ci_target", None),
             max_replications=getattr(args, "max_replications", 64),
         )

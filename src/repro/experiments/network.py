@@ -1,9 +1,9 @@
-"""Network-scenario driver: sharded multi-node lifetime experiments.
+"""Network-scenario driver: multi-node lifetime experiments.
 
 The deployment-level companion of the Figs. 14/15 sweeps: build a
 topology (line, star, or a hundreds-of-node grid), simulate every node
-at its relay-inflated event rate through the
-:mod:`repro.runtime.sharding` worker groups, and report the network
+at its relay-inflated event rate through the :mod:`repro.runtime`
+executor and result store, and report the network
 metrics — time to first node death, the hotspot node, total energy and
 the lifetime imbalance that motivates location-aware power management.
 
@@ -15,8 +15,9 @@ Two entry points:
   over a threshold grid (default :data:`~repro.experiments.sweep.NETWORK_THRESHOLDS`),
   answering "which ``Power_Down_Threshold`` maximises *network* lifetime?".
 
-Both accept ``workers`` (process-pool size) and ``shards``
-(worker-group count); neither knob ever changes the numbers.
+Both accept ``workers`` (process-pool size) and ``shards`` (the
+number of contiguous node chunks submitted); neither knob ever changes
+the numbers.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _adaptive_network_runs(
 ):
     """Adaptively replicate whole network runs, one point per threshold.
 
-    Each replication is a full (possibly sharded) network simulation
+    Each replication is a full (possibly chunked) network simulation
     run with ``rx``; the controller runs replications in-process so
     ``workers`` and ``shards`` keep parallelising *inside* each network
     run, exactly as on the unreplicated path.  The per-replication seed
@@ -323,10 +324,10 @@ def run_network_scenario(
     :class:`~repro.runtime.config.ResolvedExecution`, or ``None`` for
     the serial defaults — is passed down to
     :meth:`~repro.models.network.SensorNetworkModel.simulate` as is:
-    ``shards`` partitions the node set into worker-group tasks (see
-    :mod:`repro.runtime.sharding`), ``seed_mode`` picks the per-node
-    seeds, and results are identical for any ``(workers, shards,
-    shard_strategy)``.
+    ``shards`` submits the node set as that many contiguous chunks,
+    ``seed_mode`` picks the per-node seeds (see
+    :func:`~repro.runtime.seeding.shard_node_seeds`), and results are
+    identical for any ``(workers, shards)``.
 
     With ``ci_target`` set, the whole scenario replicates with spawned
     seeds until the total-energy interval's relative half-width meets

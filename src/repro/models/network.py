@@ -24,15 +24,15 @@ deployment-level one: which threshold maximises the *network* lifetime,
 given that the hotspot node sees a different workload than the leaves?
 
 Because nodes are independent, the node set shards cleanly:
-``simulate(..., shards=K)`` partitions the nodes via
-:mod:`repro.runtime.sharding`, runs each shard as one worker-group
-task, and merges the per-shard results with :meth:`NetworkResult.merge`
-— per-node seeds are keyed by node index, so every ``(workers,
-shards, strategy)`` combination is bit-identical to the serial run.
+``simulate(..., shards=K)`` submits the nodes as ``K`` contiguous
+chunks of one :func:`~repro.runtime.store.cached_map` call — per-node
+seeds are keyed by node index, so every ``(workers, shards)``
+combination is bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -529,27 +529,23 @@ class SensorNetworkModel:
         :class:`~repro.runtime.config.ExecutionConfig`, a resolved
         :class:`~repro.runtime.config.ResolvedExecution`, or ``None``
         for the serial defaults — says how to run; its ``workers``,
-        ``shards``, ``shard_strategy``, ``seed_mode``, backend and
-        store apply here.
+        ``shards``, ``seed_mode``, backend and store apply here.
 
-        Nodes are independent, so with ``workers > 1`` their
-        simulations are submitted through the :mod:`repro.runtime`
-        process pool.  With ``shards > 1`` the node set is partitioned
-        by :func:`repro.runtime.sharding.partition_indices` and each
-        shard runs as one coarse worker-group task whose
-        :class:`NetworkResult` is folded in via
-        :meth:`NetworkResult.merge` — the scaling path for
-        hundreds-of-node topologies, where per-node task dispatch
-        overhead would dominate.
+        Nodes are independent, so the node tasks go through one
+        :func:`~repro.runtime.store.cached_map` call over the
+        :mod:`repro.runtime` executor.  ``shards=K > 1`` submits them
+        as ``K`` contiguous chunks of ``ceil(n_nodes / K)`` nodes — the
+        scaling path for hundreds-of-node topologies, where per-node
+        task dispatch overhead would dominate; ``shards=1`` keeps the
+        executor's default chunking.
 
         Per-node seeds are fixed *before* distribution and keyed by
         node index (``seed + node_index`` in the default ``"legacy"``
         mode, :meth:`~numpy.random.SeedSequence.spawn` children with
         ``seed_mode="spawn"``), so results are identical for any
-        ``workers``, ``shards`` and ``shard_strategy``; ``shards=1``
-        is bit-identical to the historical serial path.
+        ``workers`` and ``shards``.
 
-        The backend selects *where* node/shard tasks run — e.g. a
+        The backend selects *where* node tasks run — e.g. a
         :class:`~repro.runtime.remote.SocketBackend` over remote
         worker hosts.  Tasks are picklable data with their seeds
         inside, so the backend can never change the numbers either.
@@ -562,11 +558,7 @@ class SensorNetworkModel:
         run.
         """
         from ..runtime.config import resolve_execution
-        from ..runtime.sharding import (
-            map_shards,
-            partition_indices,
-            shard_node_seeds,
-        )
+        from ..runtime.seeding import shard_node_seeds
         from ..runtime.store import cached_map
 
         rx = resolve_execution(exec_cfg)
@@ -615,37 +607,18 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        if rx.shards == 1:
-            results = cached_map(rx.executor(), task_fn, tasks, rx.store)
-            out = NetworkResult(
-                topology=self.topology.describe(),
-                power_down_threshold=self.params.power_down_threshold,
-                horizon_s=horizon,
-                nodes=[summarise(i, result) for i, result in enumerate(results)],
-            )
-        else:
-            plan = partition_indices(len(tasks), rx.shards, rx.shard_strategy)
-            per_shard = map_shards(
-                task_fn,
-                tasks,
-                plan,
-                workers=rx.workers,
-                backend=rx.backend,
-                store=rx.store,
-            )
-            shard_results = [
-                NetworkResult(
-                    topology=self.topology.describe(),
-                    power_down_threshold=self.params.power_down_threshold,
-                    horizon_s=horizon,
-                    nodes=[
-                        summarise(i, result)
-                        for i, result in zip(shard.node_indices, results)
-                    ],
-                )
-                for shard, results in zip(plan.shards, per_shard)
-            ]
-            out = NetworkResult.merge(shard_results)
+        chunk_size = (
+            math.ceil(len(tasks) / rx.shards) if rx.shards > 1 else None
+        )
+        results = cached_map(
+            rx.executor(chunk_size=chunk_size), task_fn, tasks, rx.store
+        )
+        out = NetworkResult(
+            topology=self.topology.describe(),
+            power_down_threshold=self.params.power_down_threshold,
+            horizon_s=horizon,
+            nodes=[summarise(i, result) for i, result in enumerate(results)],
+        )
         if schedule is not None:
             out.dynamics = schedule.report()
         return out
@@ -661,10 +634,10 @@ class SensorNetworkModel:
     ) -> list[NetworkResult]:
         """Network result per threshold (network-lifetime optimisation).
 
-        ``workers`` parallelises across the nodes (or, with
-        ``shards > 1``, the shards) of each network run; the threshold
-        points themselves are processed in order so each
-        :class:`NetworkResult` is complete before the next starts.
+        ``workers`` and ``shards`` parallelise across the nodes of
+        each network run; the threshold points themselves are
+        processed in order so each :class:`NetworkResult` is complete
+        before the next starts.
         ``exec_cfg`` is passed to every :meth:`simulate` call as is.
         """
         from ..runtime.config import resolve_execution

@@ -20,7 +20,9 @@ time:
   TCP pickle protocol, load-balancing across hosts and re-queuing the
   chunks of dropped workers;
 * :mod:`repro.runtime.seeding` — spawn-safe, collision-free seed plans
-  via :meth:`numpy.random.SeedSequence.spawn`;
+  via :meth:`numpy.random.SeedSequence.spawn`, and
+  :func:`shard_node_seeds`, which keys a network's per-node seeds by
+  global node index so no shard count can change the numbers;
 * :func:`map_sweep` — the public grid × replications API, returning
   :class:`~repro.experiments.sweep.SweepPoint` rows whose values carry
   across-replication confidence intervals when ``replications > 1``;
@@ -30,12 +32,6 @@ time:
   crosses an :class:`AdaptiveSettings` target, consuming a prefix of
   the fixed-count seed plan so converged runs stay bit-reproducible
   (``map_sweep(..., ci_target=...)`` is the sweep-level entry point);
-* :mod:`repro.runtime.sharding` — coarse-grained worker groups for
-  hundreds-of-item task sets: :func:`partition_indices` plans
-  contiguous or round-robin :class:`ShardPlan` partitions,
-  :func:`map_shards` / :func:`run_sharded` run one executor task per
-  shard, and :func:`shard_node_seeds` keys seeds by global item index
-  so no shard count or strategy can change the numbers;
 * :mod:`repro.runtime.store` — content-addressed result memoization:
   :class:`ResultStore` keeps per-replication results on disk under a
   canonical SHA-256 :func:`task_key` of the task spec (parameters,
@@ -43,8 +39,8 @@ time:
   checksummed on read, so re-runs, figure regeneration and adaptive
   top-ups recompute only what the cache has never seen.
   :func:`cached_map` / :func:`cached_ensemble_map` are the
-  store-through-executor primitives the sweep/adaptive/shard layers
-  build on;
+  store-through-executor primitives the sweep, adaptive and network
+  layers build on;
 * :mod:`repro.runtime.config` — the declarative seam over all of the
   above: :class:`ExecutionConfig` bundles workers / backend spec /
   engine / store dir / seed mode / shards / adaptive settings into one
@@ -58,7 +54,8 @@ Every experiment driver (``repro.experiments.figures``,
 run their grid × replications through the one loop,
 :func:`run_adaptive_rounds` (a fixed count is a single round); the
 network lifetime model routes its node set through the same executor
-and store.  The CLI exposes the knobs as ``--workers`` /
+and store, one :func:`cached_map` call whose chunk count is the
+``shards`` knob.  The CLI exposes the knobs as ``--workers`` /
 ``--replications`` / ``--ci-target`` / ...
 """
 
@@ -78,21 +75,14 @@ from .backend import (
 )
 from .executor import ParallelExecutor, TaskError
 from .seeding import (
+    SEED_MODES,
     replication_seeds,
     sequence_to_seed,
+    shard_node_seeds,
     spawn_seeds,
     spawn_sequences,
     substream_seed,
     substream_sequence,
-)
-from .sharding import (
-    SHARD_STRATEGIES,
-    Shard,
-    ShardPlan,
-    map_shards,
-    partition_indices,
-    run_sharded,
-    shard_node_seeds,
 )
 from .store import (
     ResultStore,
@@ -130,13 +120,8 @@ __all__ = [
     "spawn_sequences",
     "substream_seed",
     "substream_sequence",
-    "Shard",
-    "ShardPlan",
-    "SHARD_STRATEGIES",
-    "partition_indices",
+    "SEED_MODES",
     "shard_node_seeds",
-    "map_shards",
-    "run_sharded",
     "ResultStore",
     "StoreStats",
     "StoreWarning",

@@ -31,6 +31,7 @@ copied into a :class:`ResolvedExecution`.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -39,7 +40,7 @@ from typing import Any
 from .adaptive import AdaptiveSettings
 from .backend import BACKEND_NAMES, Backend, make_backend
 from .executor import ParallelExecutor
-from .sharding import SEED_MODES, SHARD_STRATEGIES
+from .seeding import SEED_MODES
 from .store import ResultStore
 
 __all__ = [
@@ -91,13 +92,11 @@ class ExecutionConfig:
     engine: str = "interpreted"
     #: Result-store directory (``None`` disables memoization).
     store_dir: str | None = None
-    #: Per-item seed derivation for sharded node sets (see
-    #: :func:`~repro.runtime.sharding.shard_node_seeds`).
+    #: Per-item seed derivation for network node sets (see
+    #: :func:`~repro.runtime.seeding.shard_node_seeds`).
     seed_mode: str = "legacy"
-    #: Worker-group shards over a network's node set.
+    #: Contiguous chunks a network's node set is submitted in.
     shards: int = 1
-    #: Node partition strategy for ``shards > 1``.
-    shard_strategy: str = "contiguous"
     #: Adaptive replication: target relative CI half-width (``None``
     #: keeps the fixed ``replications`` count).
     ci_target: float | None = None
@@ -128,7 +127,6 @@ class ExecutionConfig:
         if self.backend is not None:
             _check_choice("backend", self.backend, BACKEND_NAMES)
         _check_choice("seed_mode", self.seed_mode, SEED_MODES)
-        _check_choice("shard_strategy", self.shard_strategy, SHARD_STRATEGIES)
         if not all(isinstance(a, str) for a in self.connect):
             raise ValueError(
                 f"connect entries must be 'host:port' strings, "
@@ -157,6 +155,8 @@ class ExecutionConfig:
                 raise ValueError(
                     f"ci_target must be a number or None, got {self.ci_target!r}"
                 )
+            if not math.isfinite(self.ci_target):
+                raise ValueError(f"ci_target must be finite, got {self.ci_target}")
             if self.ci_target <= 0:
                 raise ValueError(
                     f"ci_target must be > 0, got {self.ci_target}"
@@ -255,7 +255,6 @@ class ResolvedExecution:
     engine: str
     seed_mode: str
     shards: int
-    shard_strategy: str
     ci_target: float | None
     max_replications: int
     min_replications: int

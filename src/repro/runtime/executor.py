@@ -31,7 +31,6 @@ the old serial sweeps.
 
 from __future__ import annotations
 
-import math
 import traceback
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -142,11 +141,6 @@ class ParallelExecutor:
         self.mp_context = mp_context
         self.backend = backend
 
-    def _resolve_chunk_size(self, n_items: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, math.ceil(n_items / (4 * self.workers)))
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Evaluate ``fn`` over ``items``, returning results in order."""
         from .backend import ProcessPoolBackend, SerialBackend
@@ -157,5 +151,4 @@ class ParallelExecutor:
         if self.workers == 1 or len(items) <= 1:
             return SerialBackend().map(fn, items)
         pool = ProcessPoolBackend(self.workers, self.mp_context)
-        size = self._resolve_chunk_size(len(items))
-        return pool.map(fn, items, chunk_size=size)
+        return pool.map(fn, items, chunk_size=self.chunk_size)

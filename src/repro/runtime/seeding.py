@@ -27,7 +27,12 @@ __all__ = [
     "replication_seeds",
     "substream_sequence",
     "substream_seed",
+    "SEED_MODES",
+    "shard_node_seeds",
 ]
+
+#: Supported per-item seed derivation modes (see :func:`shard_node_seeds`).
+SEED_MODES = ("legacy", "spawn")
 
 
 def sequence_to_seed(seq: np.random.SeedSequence) -> int:
@@ -72,6 +77,39 @@ def substream_sequence(
 def substream_seed(seed: int | None, *key: int) -> int:
     """Integer seed for the tagged sub-stream ``key`` of ``seed``."""
     return sequence_to_seed(substream_sequence(seed, *key))
+
+
+def shard_node_seeds(
+    seed: int | None, n_items: int, mode: str = "legacy"
+) -> list[int]:
+    """Per-item seeds keyed by *global* item index.
+
+    Because the seed of item ``i`` depends only on ``(seed, i)``, any
+    shard (chunk) count hands every item the same seed — sharding can
+    never change the numbers.
+
+    Modes
+    -----
+    ``"legacy"``
+        ``seed + i`` — the network model's historical scheme, distinct
+        within a run, kept so ``shards=1`` stays bit-identical to the
+        pre-sharding serial path.  Requires an integer ``seed``.
+    ``"spawn"``
+        :meth:`numpy.random.SeedSequence.spawn` children of ``seed``,
+        flattened to 128-bit integers — collision-free across shards
+        *and* across different root seeds (two ``"legacy"`` runs with
+        roots 0 and 50 share seeds 50..n-1; two ``"spawn"`` runs never
+        overlap).  Accepts ``seed=None`` for fresh OS entropy.
+    """
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
+    if mode not in SEED_MODES:
+        raise ValueError(f"mode must be one of {SEED_MODES}, got {mode!r}")
+    if mode == "spawn":
+        return spawn_seeds(seed, n_items)
+    if seed is None:
+        raise ValueError("legacy seed mode requires an integer seed")
+    return [seed + i for i in range(n_items)]
 
 
 def replication_seeds(base_seed: int | None, replications: int) -> list[int | None]:

@@ -26,7 +26,7 @@ The three layers:
   hit/miss counters.  A manifest from a different schema disables the
   store with a warning (every read misses, writes are skipped).
 * :func:`cached_map` / :func:`cached_ensemble_map` — executor-level
-  wrappers the sweep/adaptive/sharding layers use: consult the store in
+  wrappers the sweep, adaptive and network layers use: consult the store in
   the *parent* process, submit only the misses through the
   :class:`~repro.runtime.ParallelExecutor` (so remote socket workers
   never need the store directory), and write freshly computed values
@@ -58,6 +58,8 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from .executor import TaskError
 
 __all__ = [
     "StoreWarning",
@@ -591,7 +593,9 @@ def cached_map(
     Keys are :func:`task_key(fn, item) <task_key>`; hits are served
     from the store in the parent process, only misses are submitted
     through ``pool``, and fresh results are written back.  With
-    ``store=None`` this is exactly ``pool.map(fn, items)``.
+    ``store=None`` this is exactly ``pool.map(fn, items)``.  A failing
+    miss re-raises as :class:`~repro.runtime.executor.TaskError` with
+    its index in ``items``, not in the submitted miss list.
     """
     items = list(items)
     if store is None:
@@ -606,7 +610,12 @@ def cached_map(
         else:
             missing.append(i)
     if missing:
-        computed = pool.map(fn, [items[i] for i in missing])
+        try:
+            computed = pool.map(fn, [items[i] for i in missing])
+        except TaskError as exc:
+            raise TaskError(
+                missing[exc.index], exc.item, exc.message
+            ) from exc.__cause__
         for i, value in zip(missing, computed):
             store.put(keys[i], value)
             out[i] = value

@@ -309,9 +309,9 @@ def _render_network(p: Params, rx: ResolvedExecution) -> str:
             else None
         ),
     )
-    run_info = (
-        f"(workers={rx.workers}, shards={rx.shards}, {rx.shard_strategy})"
-    )
+    # Shards are contiguous chunks of the node list; the word stays in
+    # the run-info line, whose bytes the pinned output digests cover.
+    run_info = f"(workers={rx.workers}, shards={rx.shards}, contiguous)"
     if p["sweep"]:
         sweep = run_network_lifetime_sweep(config, exec_cfg=rx)
         lines = [

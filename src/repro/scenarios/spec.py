@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -109,20 +110,34 @@ def _pos_int(key: str, value: Any) -> int:
     return value
 
 
-def _pos_float(key: str, value: Any) -> float:
+def _nonneg_int(key: str, value: Any) -> int:
+    value = _int(key, value)
+    if value < 0:
+        raise ScenarioError(f"{key} must be >= 0, got {value}")
+    return value
+
+
+def _finite(key: str, value: Any) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _pos_float(key: str, value: Any) -> float:
+    value = _finite(key, value)
     if value <= 0:
         raise ScenarioError(f"{key} must be > 0, got {value}")
     return float(value)
+
 
 def _opt_pos_float(key: str, value: Any) -> float | None:
     return None if value is None else _pos_float(key, value)
 
 
 def _nonneg_float(key: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    value = _finite(key, value)
     if value < 0:
         raise ScenarioError(f"{key} must be >= 0, got {value}")
     return float(value)
@@ -218,20 +233,20 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
     "fig": {
         "number": _Param(_REQUIRED, _choice((4, 5, 6, 7, 8, 9, 14, 15))),
         "horizon": _Param(None, _opt_pos_float, "simulated seconds"),
-        "seed": _Param(2010, _int),
+        "seed": _Param(2010, _nonneg_int),
     },
     "table": {
         "number": _Param(_REQUIRED, _choice((4, 5, 6))),
         "horizon": _Param(1000.0, _pos_float),
-        "seed": _Param(2010, _int),
+        "seed": _Param(2010, _nonneg_int),
     },
     "node-sweep": {
         "workload": _Param("closed", _choice(("closed", "open"))),
         "horizon": _Param(900.0, _pos_float),
-        "seed": _Param(2010, _int),
+        "seed": _Param(2010, _nonneg_int),
     },
     "validate": {
-        "seed": _Param(2010, _int),
+        "seed": _Param(2010, _nonneg_int),
     },
     "network": {
         "topology": _Param("line", _choice(("line", "star", "grid"))),
@@ -263,7 +278,7 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
             _pos_float,
             "events/s sensed by each node before relaying (default 0.5)",
         ),
-        "seed": _Param(2010, _int),
+        "seed": _Param(2010, _nonneg_int),
     },
 }
 

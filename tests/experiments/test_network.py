@@ -1,4 +1,4 @@
-"""Tests for the sharded network-scenario experiment driver."""
+"""Tests for the network-scenario experiment driver."""
 
 import pytest
 
@@ -67,7 +67,7 @@ class TestRunScenario:
         serial = run_network_scenario(self.config())
         sharded = run_network_scenario(
             self.config(),
-            exec_cfg=ExecutionConfig(shards=3, shard_strategy="round-robin"),
+            exec_cfg=ExecutionConfig(shards=3),
         )
         assert sharded == serial
 
@@ -151,7 +151,6 @@ class TestAdaptiveReplication:
                 ci_target=0.5,
                 max_replications=3,
                 shards=2,
-                shard_strategy="round-robin",
             ),
         )
         assert [

@@ -211,20 +211,17 @@ class TestShardedSimulation:
 
     def test_shards_bit_identical_to_serial(self):
         # shards=1 runs the historical serial code path; every shard
-        # count and strategy must reproduce it exactly.
+        # count must reproduce it exactly.
         net = self.network(LineTopology(5))
         serial = net.simulate(horizon=20.0, seed=7, base_rate=0.5)
         for shards in (2, 4, 5):
-            for strategy in ("contiguous", "round-robin"):
-                sharded = net.simulate(
-                    horizon=20.0,
-                    seed=7,
-                    base_rate=0.5,
-                    exec_cfg=ExecutionConfig(
-                        shards=shards, shard_strategy=strategy
-                    ),
-                )
-                assert sharded == serial
+            sharded = net.simulate(
+                horizon=20.0,
+                seed=7,
+                base_rate=0.5,
+                exec_cfg=ExecutionConfig(shards=shards),
+            )
+            assert sharded == serial
 
     def test_spawn_seed_mode_shard_invariant(self):
         net = self.network(LineTopology(4))
@@ -254,9 +251,8 @@ class TestShardedSimulation:
         assert sharded == serial
 
     def test_hundred_node_grid_through_sharded_path(self):
-        # The ISSUE acceptance scenario: a >= 100-node grid completes
-        # through the sharded path and the merged result's total energy
-        # equals the sum over shard node sets.
+        # A >= 100-node grid completes in 8 node chunks and its total
+        # energy equals the sum over its nodes.
         net = self.network(GridTopology(10, 10))
         result = net.simulate(
             horizon=40.0,
@@ -269,7 +265,7 @@ class TestShardedSimulation:
         assert result.total_energy_j == pytest.approx(
             sum(n.energy_j for n in result.nodes)
         )
-        # energy-hole structure survives the merge: the sink-adjacent
+        # energy-hole structure survives chunking: the sink-adjacent
         # corner relays all 100 nodes' traffic
         assert result.nodes[0].event_rate == pytest.approx(0.4)
         assert result.hotspot.node_id == 1

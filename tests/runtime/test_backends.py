@@ -46,6 +46,19 @@ class RecordingBackend(SerialBackend):
     map = Backend.map
 
 
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """Chunk lists a ``ProcessPoolBackend`` is handed, run in-process."""
+    calls = []
+
+    def submit_chunks(self, fn, chunks):
+        calls.append([(start, list(items)) for start, items in chunks])
+        return SerialBackend().submit_chunks(fn, chunks)
+
+    monkeypatch.setattr(ProcessPoolBackend, "submit_chunks", submit_chunks)
+    return calls
+
+
 class TestSerialBackend:
     def test_map_matches_plain_loop(self):
         assert SerialBackend().map(square, [3, 1, 2]) == [9, 1, 4]
@@ -124,12 +137,17 @@ class TestChunkPolicy:
         with pytest.raises(ValueError):
             SerialBackend().resolve_chunk_size(10, 0)
 
-    def test_matches_executor_resolution(self):
-        for workers in (1, 2, 4):
-            for n in (1, 7, 23, 160):
-                assert ProcessPoolBackend(workers).resolve_chunk_size(
-                    n
-                ) == ParallelExecutor(workers=workers)._resolve_chunk_size(n)
+    def test_matches_executor_resolution(self, pool_chunks):
+        # The executor passes its chunk_size through; the pool resolves
+        # the default with this same policy.
+        for workers in (2, 4):
+            for n in (7, 23, 160):
+                pool_chunks.clear()
+                ParallelExecutor(workers=workers).map(square, range(n))
+                [chunks] = pool_chunks
+                assert len(chunks[0][1]) == ProcessPoolBackend(
+                    workers
+                ).resolve_chunk_size(n)
 
     def test_map_chunks_cover_items_in_order(self):
         backend = RecordingBackend()
@@ -143,23 +161,30 @@ class TestChunkPolicy:
 
 
 class TestExecutorResolveChunkSize:
-    """Direct coverage of the executor's historical chunk policy."""
+    """The chunks a pooled executor actually submits."""
 
-    def test_explicit_chunk_size_wins(self):
-        assert ParallelExecutor(workers=4, chunk_size=3)._resolve_chunk_size(
-            100
-        ) == 3
+    def test_explicit_chunk_size_wins(self, pool_chunks):
+        ParallelExecutor(workers=4, chunk_size=3).map(square, range(100))
+        [chunks] = pool_chunks
+        assert [len(items) for _, items in chunks] == [3] * 33 + [1]
 
-    def test_default_is_ceil_over_four_times_workers(self):
-        for workers in (1, 2, 3, 8):
-            pool = ParallelExecutor(workers=workers)
-            for n_items in (1, 5, 23, 97, 160):
-                assert pool._resolve_chunk_size(n_items) == max(
+    def test_default_is_ceil_over_four_times_workers(self, pool_chunks):
+        for workers in (2, 3, 8):
+            for n_items in (5, 23, 97, 160):
+                pool_chunks.clear()
+                out = ParallelExecutor(workers=workers).map(
+                    square, range(n_items)
+                )
+                assert out == [x * x for x in range(n_items)]
+                [chunks] = pool_chunks
+                assert len(chunks[0][1]) == max(
                     1, math.ceil(n_items / (4 * workers))
                 )
 
-    def test_zero_items_still_positive(self):
-        assert ParallelExecutor(workers=2)._resolve_chunk_size(0) == 1
+    def test_zero_items_still_positive(self, pool_chunks):
+        assert ProcessPoolBackend(2).resolve_chunk_size(0) == 1
+        assert ParallelExecutor(workers=2).map(square, []) == []
+        assert pool_chunks == []
 
 
 class TestTaskErrorReduce:

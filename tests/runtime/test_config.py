@@ -34,7 +34,6 @@ class TestValidation:
             ("engine", "turbo"),
             ("backend", "quantum"),
             ("seed_mode", "fixed"),
-            ("shard_strategy", "random"),
         ],
     )
     def test_choice_fields_name_the_field(self, field, bad):
@@ -64,6 +63,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="ci_target"):
             ExecutionConfig(ci_target=True)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_ci_target_must_be_finite(self, bad):
+        # NaN compares false against 0, so "> 0" alone lets it pass.
+        with pytest.raises(ValueError, match="ci_target must be finite"):
+            ExecutionConfig(ci_target=bad)
+
+    def test_shard_strategy_is_not_a_knob(self):
+        # Shards are contiguous chunks; there is no strategy to pick.
+        with pytest.raises(ValueError, match="shard_strategy"):
+            ExecutionConfig.from_dict({"shard_strategy": "round-robin"})
+
     def test_replication_floor_above_cap_rejected_under_ci_target(self):
         with pytest.raises(ValueError, match="max_replications"):
             ExecutionConfig(ci_target=0.1, replications=65)
@@ -85,7 +95,6 @@ class TestSerialisation:
             engine="vectorized",
             store_dir="/tmp/s",
             shards=3,
-            shard_strategy="round-robin",
             ci_target=0.05,
         )
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
@@ -176,7 +185,6 @@ class TestBind:
             engine="vectorized",
             seed_mode="spawn",
             shards=2,
-            shard_strategy="round-robin",
             ci_target=0.1,
             max_replications=9,
             min_replications=3,
@@ -192,7 +200,6 @@ class TestBind:
             "engine",
             "seed_mode",
             "shards",
-            "shard_strategy",
             "ci_target",
             "max_replications",
             "min_replications",

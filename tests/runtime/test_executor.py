@@ -3,6 +3,7 @@
 import pytest
 
 from repro.runtime import ParallelExecutor, TaskError
+from repro.runtime.backend import ProcessPoolBackend, SerialBackend
 from repro.runtime.executor import _run_chunk
 
 
@@ -81,11 +82,18 @@ class TestParallel:
 
 
 class TestChunkHelpers:
-    def test_default_chunk_size_balances_load(self):
+    def test_default_chunk_size_balances_load(self, monkeypatch):
+        sizes = []
+
+        def submit_chunks(self, fn, chunks):
+            sizes.append([len(items) for _, items in chunks])
+            return SerialBackend().submit_chunks(fn, chunks)
+
+        monkeypatch.setattr(ProcessPoolBackend, "submit_chunks", submit_chunks)
         pool = ParallelExecutor(workers=4)
-        assert pool._resolve_chunk_size(16) == 1
-        assert pool._resolve_chunk_size(160) == 10
-        assert ParallelExecutor(workers=1)._resolve_chunk_size(0) == 1
+        assert pool.map(square, range(16)) == [x * x for x in range(16)]
+        assert pool.map(square, range(160)) == [x * x for x in range(160)]
+        assert sizes == [[1] * 16, [10] * 16]
 
     def test_run_chunk_offsets_index(self):
         with pytest.raises(TaskError) as exc_info:

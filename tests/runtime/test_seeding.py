@@ -1,13 +1,23 @@
 """Spawn-safe seeding: collision-freedom, determinism, legacy head."""
 
+import math
+
 import numpy as np
+import pytest
 
 from repro.runtime.seeding import (
     replication_seeds,
     sequence_to_seed,
+    shard_node_seeds,
     spawn_seeds,
     spawn_sequences,
 )
+
+
+def chunks(items, shards):
+    """Contiguous chunks of ``ceil(len / shards)``, as network runs use."""
+    size = math.ceil(len(items) / shards)
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 class TestSpawnSeeds:
@@ -57,3 +67,39 @@ class TestReplicationSeeds:
 
         with pytest.raises(ValueError):
             replication_seeds(1, 0)
+
+
+class TestShardNodeSeeds:
+    def test_legacy_matches_historical_scheme(self):
+        assert shard_node_seeds(2010, 4) == [2010, 2011, 2012, 2013]
+
+    def test_legacy_requires_integer_seed(self):
+        with pytest.raises(ValueError):
+            shard_node_seeds(None, 3, mode="legacy")
+
+    def test_spawn_mode_reproducible_and_entropy_ok(self):
+        a = shard_node_seeds(7, 16, mode="spawn")
+        b = shard_node_seeds(7, 16, mode="spawn")
+        assert a == b
+        assert len(shard_node_seeds(None, 4, mode="spawn")) == 4
+
+    @pytest.mark.parametrize("mode", ["legacy", "spawn"])
+    def test_collision_free_across_shards(self, mode):
+        # Every shard's seed set is disjoint from every other shard's —
+        # seeds are keyed by global node index.
+        seeds = shard_node_seeds(42, 50, mode=mode)
+        assert len(set(seeds)) == len(seeds)
+        per_shard = [set(chunk) for chunk in chunks(seeds, 6)]
+        union = set().union(*per_shard)
+        assert len(union) == sum(len(s) for s in per_shard)
+
+    def test_seed_plan_invariant_to_shard_count(self):
+        # The seed of node i never depends on how the nodes are grouped.
+        seeds = shard_node_seeds(9, 12, mode="spawn")
+        for shards in (1, 3, 12):
+            gathered = [s for chunk in chunks(seeds, shards) for s in chunk]
+            assert gathered == seeds
+
+    def test_invalid_mode(self):
+        with pytest.raises(ValueError):
+            shard_node_seeds(1, 3, mode="bogus")

@@ -12,7 +12,7 @@ Three claims guard the cache against silently-wrong science:
    (:class:`StoreWarning`), delete the bad entry, and read as a miss —
    never a crash, never a wrong hit.
 3. **The execution wrappers submit exactly the misses.**  ``cached_map``
-   / ``cached_ensemble_map`` / ``map_shards`` / the adaptive controller
+   / ``cached_ensemble_map`` / the adaptive controller / network runs
    serve hits in the parent and recompute only what is missing, and a
    warm run is bit-identical to a cold one.
 """
@@ -28,9 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.network import LineTopology, SensorNetworkModel
+from repro.models.wsn_node import NodeParameters, simulate_node_task
 from repro.runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-from repro.runtime.executor import ParallelExecutor
-from repro.runtime.sharding import map_shards, partition_indices, run_sharded
+from repro.runtime.backend import Backend, SerialBackend
+from repro.runtime.config import ExecutionConfig
+from repro.runtime.executor import ParallelExecutor, TaskError
 from repro.runtime.store import (
     ENTRY_MAGIC,
     KEY_SCHEMA,
@@ -71,6 +74,13 @@ def bad_ensemble(task):
     return noisy_ensemble(task)[:-1]
 
 
+def noisy_unless_seed_3(task):
+    """``noisy``, except that the replication with seed 3 raises."""
+    if task[1] == 3:
+        raise ValueError("seed 3 fails")
+    return noisy(task)
+
+
 class CountingPool:
     """A serial pool that records every item submitted through it."""
 
@@ -81,6 +91,23 @@ class CountingPool:
         items = list(items)
         self.submitted.extend(items)
         return [fn(item) for item in items]
+
+
+class CountingBackend(SerialBackend):
+    """An in-process backend that records every chunk it runs."""
+
+    map = Backend.map  # chunk like a pool backend does
+
+    def __init__(self):
+        self.chunks = []
+
+    def submit_chunks(self, fn, chunks):
+        self.chunks.extend(chunks)
+        return super().submit_chunks(fn, chunks)
+
+    @property
+    def submitted(self):
+        return [item for _, items in self.chunks for item in items]
 
 
 @dataclass(frozen=True)
@@ -490,6 +517,18 @@ class TestCachedMap:
         assert pool.submitted == [(0.5, 2), (0.5, 3)]
         assert result == [noisy(i) for i in grown]
 
+    def test_failure_index_counts_the_hits(self, tmp_path):
+        # Only the misses are submitted, but a failing item must still
+        # be reported at its index among all the items.
+        store = ResultStore(tmp_path)
+        items = [(0.5, s) for s in range(5)]
+        cached_map(ParallelExecutor(), noisy_unless_seed_3, items[:3], store)
+        with pytest.raises(TaskError) as excinfo:
+            cached_map(ParallelExecutor(), noisy_unless_seed_3, items, store)
+        assert excinfo.value.index == 3
+        assert excinfo.value.item == (0.5, 3)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
 
 class TestCachedEnsembleMap:
     def _run(self, pool, store, seeds_per_point):
@@ -573,32 +612,53 @@ class TestCachedEnsembleMap:
 
 
 class TestShardedStore:
+    """Network shards are executor chunks over per-node store entries."""
+
+    RUN = dict(horizon=5.0, seed=3, base_rate=0.5)
+
+    def network(self):
+        return SensorNetworkModel(
+            LineTopology(7), NodeParameters(power_down_threshold=0.01)
+        )
+
+    def run(self, store, shards, backend=None):
+        return self.network().simulate(
+            **self.RUN,
+            exec_cfg=ExecutionConfig(shards=shards).bind(
+                store=store, backend=backend
+            ),
+        )
+
     def test_shard_plan_never_enters_the_key(self, tmp_path):
         store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(7)]
-        plan_a = partition_indices(len(items), 2, "contiguous")
-        cold = run_sharded(noisy, items, plan_a, store=store)
-        puts_after_cold = store.puts
-        assert puts_after_cold == len(items)
-        # A different shard count *and* strategy reads the same entries.
-        plan_b = partition_indices(len(items), 3, "round-robin")
-        warm = run_sharded(noisy, items, plan_b, store=store)
-        assert warm == cold
-        assert store.puts == puts_after_cold  # nothing recomputed
-        assert store.hits == len(items)
+        backend = CountingBackend()
+        cold = self.run(store, 2, backend)
+        assert [len(items) for _, items in backend.chunks] == [4, 3]
+        assert store.puts == 7
+        store.hits = store.misses = 0
+        # A different shard count reads the same per-node entries.
+        warm_backend = CountingBackend()
+        warm = self.run(store, 3, warm_backend)
+        assert warm == cold == self.network().simulate(**self.RUN)
+        assert warm_backend.chunks == []
+        assert store.puts == 7  # nothing recomputed
+        assert (store.hits, store.misses) == (7, 0)
 
     def test_partially_warm_shards_compute_only_missing(self, tmp_path):
+        reference = CountingBackend()
+        cold = self.run(None, 1, reference)
+        tasks = reference.submitted
+        assert len(tasks) == 7
         store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(6)]
-        plan = partition_indices(len(items), 3, "contiguous")
-        for s in (0, 1, 4):  # warm shard 0 fully, shard 2 partially
-            store.put(task_key(noisy, (0.5, s)), noisy((0.5, s)))
-        per_shard = map_shards(noisy, items, plan, store=store)
-        assert per_shard == [
-            [noisy(items[i]) for i in shard.node_indices]
-            for shard in plan.shards
-        ]
-        assert store.puts == 3 + 3  # the warm-up puts + the 3 misses
+        for i in (0, 1, 4):
+            key = task_key(simulate_node_task, tasks[i])
+            store.put(key, simulate_node_task(tasks[i]))
+        backend = CountingBackend()
+        assert self.run(store, 3, backend) == cold
+        assert backend.submitted == [tasks[i] for i in (2, 3, 5, 6)]
+        # Chunks of ceil(7 / 3) nodes, taken over the misses.
+        assert [len(items) for _, items in backend.chunks] == [3, 1]
+        assert store.puts == 3 + 4  # the warm-up puts + the 4 misses
 
 
 class TestAdaptiveStore:

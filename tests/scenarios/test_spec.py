@@ -162,6 +162,78 @@ class TestRejectionsNameTheKey:
         assert bad_key in str(excinfo.value) or "zz" in str(excinfo.value)
 
 
+#: (params of a network spec, key the error must name) — values that a
+#: bound check alone lets through: NaN compares false against every
+#: bound, infinity is "> 0", and a negative seed is still an int.
+_NON_FINITE_AND_NEGATIVE = [
+    ({"horizon": float("nan")}, "params.horizon"),
+    ({"horizon": float("inf")}, "params.horizon"),
+    ({"base_rate": float("nan")}, "params.base_rate"),
+    ({"threshold": float("inf")}, "params.threshold"),
+    ({"radius": float("nan")}, "params.radius"),
+    ({"failure_rate": float("nan")}, "params.failure_rate"),
+    ({"failure_rate": float("inf")}, "params.failure_rate"),
+    ({"duty_spread": float("nan")}, "params.duty_spread"),
+    ({"burst_off_fraction": float("nan")}, "params.burst_off_fraction"),
+    ({"seed": -1}, "params.seed"),
+]
+
+
+class TestNonFiniteAndNegativeRejected:
+    """Checked at schema level, without a run: a NaN horizon never ends."""
+
+    def spec(self, params=None, execution=None):
+        data = {
+            "version": SPEC_VERSION,
+            "name": "net",
+            "model": "network",
+            "params": params or {},
+        }
+        if execution is not None:
+            data["execution"] = execution
+        return data
+
+    @pytest.mark.parametrize(
+        ("params", "expected"),
+        _NON_FINITE_AND_NEGATIVE,
+        ids=[f"{k}={v}" for p, _ in _NON_FINITE_AND_NEGATIVE for k, v in p.items()],
+    )
+    def test_rejected_naming_the_key(self, params, expected):
+        with pytest.raises(ScenarioError) as excinfo:
+            ScenarioSpec.from_dict(self.spec(params))
+        assert expected in str(excinfo.value)
+
+    @pytest.mark.parametrize("model", ["fig", "table", "node-sweep", "validate"])
+    def test_negative_seed_rejected_for_every_model(self, model):
+        data = {"version": SPEC_VERSION, "name": "x", "model": model}
+        data["params"] = {"seed": -1}
+        if model in ("fig", "table"):
+            data["params"]["number"] = 4
+        with pytest.raises(ScenarioError, match="params.seed"):
+            ScenarioSpec.from_dict(data)
+
+    def test_nan_parsed_from_json_text_rejected(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"version": 2, "name": "n", "model": "network",'
+            ' "params": {"horizon": NaN}}'
+        )
+        with pytest.raises(ScenarioError, match="params.horizon"):
+            load_scenario(path)
+
+    def test_nan_ci_target_rejected(self):
+        with pytest.raises(ScenarioError, match="ci_target"):
+            ScenarioSpec.from_dict(self.spec(execution={"ci_target": float("nan")}))
+
+    def test_shard_strategy_rejected_naming_the_key(self):
+        # Shards are contiguous chunks of the node list, so there is no
+        # strategy key; an unknown execution key is an error.
+        with pytest.raises(ScenarioError, match="shard_strategy"):
+            ScenarioSpec.from_dict(
+                self.spec(execution={"shards": 2, "shard_strategy": "round-robin"})
+            )
+
+
 class TestDefaultsAndNormalisation:
     def test_params_defaults_filled(self):
         spec = ScenarioSpec.from_dict(

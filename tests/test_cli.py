@@ -192,15 +192,13 @@ class TestCLI:
                     "0.05",
                     "--shards",
                     "3",
-                    "--shard-strategy",
-                    "round-robin",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "4x3 grid of 12 nodes" in out
-        assert "shards=3" in out
+        assert "(workers=1, shards=3, contiguous)" in out
 
     def test_network_sweep(self, capsys):
         assert (

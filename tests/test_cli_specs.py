@@ -131,6 +131,8 @@ BAD_FLAGS = [
         "--radius",
     ),
     (["topology", "describe", "--base-rate", "-1"], "--base-rate"),
+    (["network", "--seed", "-1"], "--seed"),
+    (["fig", "7", "--seed", "-1"], "--seed"),
 ]
 
 

@@ -1,7 +1,7 @@
 """The bit-identity invariant matrix, extended to dynamic topologies.
 
 The static network layer already guarantees that every ``workers`` /
-``shards`` / ``shard_strategy`` / backend combination reproduces the
+``shards`` / backend combination reproduces the
 serial run exactly.  Churn and bursty traffic must not loosen that by
 one bit: the schedule is drawn in the parent, so a churn run is the
 same pure function of ``(topology, horizon, seed, base_rate)`` no
@@ -80,12 +80,12 @@ class TestChurnBitIdentity:
         assert serial.dynamics is not None
         assert serial.dynamics.failures > 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [2, 3, 6])
-    @pytest.mark.parametrize("strategy", ["contiguous", "round-robin"])
-    def test_sharded_matches_serial(self, serial, shards, strategy):
+    def test_sharded_matches_serial(self, serial, shards, workers):
         sharded = dynamic_network().simulate(
             **RUN,
-            exec_cfg=ExecutionConfig(shards=shards, shard_strategy=strategy),
+            exec_cfg=ExecutionConfig(shards=shards, workers=workers),
         )
         assert sharded == serial
 
