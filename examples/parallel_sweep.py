@@ -7,8 +7,11 @@ Three escalating uses of the runtime:
 2. the same sweep with 8 replications per point, so every grid point
    reports a mean ± 95 % t-interval instead of a point estimate,
 3. the high-level driver equivalent — ``run_node_energy_sweep`` with
-   ``workers``/``replications`` — which is what the CLI's
+   the same ``ExecutionConfig`` — which is what the CLI's
    ``repro node-sweep --workers 4 --replications 8`` calls.
+
+``map_sweep`` takes its execution knobs the way every driver does, as
+one ``exec_cfg=ExecutionConfig(...)``.
 
 Results are a pure function of the seed: re-running with any worker
 count reproduces the identical numbers (the seed plan is spawned from
@@ -32,14 +35,14 @@ def node_energy(threshold: float, seed: int) -> float:
 
 
 def main() -> None:
+    pool = ExecutionConfig(workers=4)
     print(f"== 1. grid sweep over {len(GRID)} points, workers=4 ==")
-    for point in map_sweep(node_energy, GRID, seed=2010, workers=4):
+    for point in map_sweep(node_energy, GRID, seed=2010, exec_cfg=pool):
         print(f"  PDT {point.threshold:<10g} {point.value:8.3f} J")
 
     print("\n== 2. same grid, 8 replications per point ==")
-    for point in map_sweep(
-        node_energy, GRID, seed=2010, workers=4, replications=8
-    ):
+    replicated = pool.with_overrides(replications=8)
+    for point in map_sweep(node_energy, GRID, seed=2010, exec_cfg=replicated):
         ci = point.value.interval()
         print(
             f"  PDT {point.threshold:<10g} {ci.mean:8.3f} J "
@@ -49,7 +52,7 @@ def main() -> None:
     print("\n== 3. the Fig. 14 driver with the same knobs ==")
     sweep = run_node_energy_sweep(
         NodeSweepConfig(horizon=HORIZON_S, thresholds=GRID),
-        exec_cfg=ExecutionConfig(workers=4, replications=8),
+        exec_cfg=replicated,
     )
     t_opt, e_opt = sweep.optimum()
     print(f"  optimum threshold {t_opt:g} s at {e_opt:.3f} J (mean of 8 reps)")

@@ -238,7 +238,7 @@ def run_cpu_comparison(
     a resolved :class:`~repro.runtime.config.ResolvedExecution`, or
     ``None`` for the serial defaults — says how to run; no setting of
     it changes the numbers.  Grid points (and, when ``replications >
-    1``, replications) are submitted through its executor; the
+    1``, replications) are submitted through its backend; the
     default reproduces the pre-runtime results bit for bit.
     Replication 0 keeps the legacy per-point seed ``seed + i``;
     further replications use seeds spawned from it, and the reported
@@ -303,7 +303,7 @@ def run_cpu_comparison(
         len(cfg.thresholds),
         settings,
         metrics=lambda out: (out["simulation"][1], out["petri"][1]),
-        executor=rx.executor(),
+        backend=rx.backend,
         store=rx.store,
         **ensemble_kwargs,
     )

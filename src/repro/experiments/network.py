@@ -3,7 +3,7 @@
 The deployment-level companion of the Figs. 14/15 sweeps: build a
 topology (line, star, or a hundreds-of-node grid), simulate every node
 at its relay-inflated event rate through the :mod:`repro.runtime`
-executor and result store, and report the network
+backend and result store, and report the network
 metrics — time to first node death, the hotspot node, total energy and
 the lifetime imbalance that motivates location-aware power management.
 

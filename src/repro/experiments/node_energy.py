@@ -160,7 +160,7 @@ def run_node_energy_sweep(
     the threshold, not workload noise; further replications run with
     independent spawned seeds so :meth:`NodeSweepResult.energy_ci` can
     report the workload noise.  All (point × replication) simulations
-    are submitted through the :mod:`repro.runtime` executor; one worker
+    are submitted through the run's :mod:`repro.runtime` backend; one worker
     with one replication is bit-identical to the pre-runtime serial
     sweep.
 
@@ -212,7 +212,7 @@ def run_node_energy_sweep(
         len(cfg.thresholds),
         settings,
         metrics=lambda result: result.total_energy_j,
-        executor=rx.executor(),
+        backend=rx.backend,
         store=rx.store,
         **ensemble_kwargs,
     )

@@ -108,7 +108,7 @@ def node_optimum_vs_rate(
     it changes the numbers.
 
     The full ``len(rates) × len(thresholds)`` grid is flattened and
-    submitted through the :mod:`repro.runtime` executor; every cell
+    submitted through the run's :mod:`repro.runtime` backend; every cell
     keeps the same fixed seed (common random numbers), so results are
     identical for any ``workers``.  Without ``ci_target`` every cell is
     a single run; the config's ``replications`` is not used.
@@ -157,7 +157,7 @@ def node_optimum_vs_rate(
         lambda i, r: (*cells[i], workload, horizon, rep_seeds[r]),
         len(cells),
         settings,
-        executor=rx.executor(),
+        backend=rx.backend,
         store=rx.store,
         **ensemble_kwargs,
     )

@@ -184,7 +184,7 @@ def run_simple_node_validation(
     Replication 0 runs with the configured seed (the paper's single
     measurement run); further replications re-run the whole protocol
     with independent spawned seeds, submitted through the
-    :mod:`repro.runtime` executor, so the headline percent difference
+    :mod:`repro.runtime` backend, so the headline percent difference
     gets an across-replication confidence interval.
 
     With ``ci_target`` set, the replication count is chosen adaptively
@@ -229,7 +229,7 @@ def run_simple_node_validation(
         1,
         settings,
         metrics=_percent_difference,
-        executor=rx.executor(),
+        backend=rx.backend,
         store=rx.store,
         **ensemble_kwargs,
     )

@@ -532,12 +532,12 @@ class SensorNetworkModel:
         ``shards``, ``seed_mode``, backend and store apply here.
 
         Nodes are independent, so the node tasks go through one
-        :func:`~repro.runtime.store.cached_map` call over the
-        :mod:`repro.runtime` executor.  ``shards=K > 1`` submits them
+        :func:`~repro.runtime.store.cached_map` call over the run's
+        :mod:`repro.runtime` backend.  ``shards=K > 1`` submits them
         as ``K`` contiguous chunks of ``ceil(n_nodes / K)`` nodes — the
         scaling path for hundreds-of-node topologies, where per-node
         task dispatch overhead would dominate; ``shards=1`` keeps the
-        executor's default chunking.
+        backend's default chunking.
 
         Per-node seeds are fixed *before* distribution and keyed by
         node index (``seed + node_index`` in the default ``"legacy"``
@@ -611,7 +611,7 @@ class SensorNetworkModel:
             math.ceil(len(tasks) / rx.shards) if rx.shards > 1 else None
         )
         results = cached_map(
-            rx.executor(chunk_size=chunk_size), task_fn, tasks, rx.store
+            rx.backend, task_fn, tasks, rx.store, chunk_size=chunk_size
         )
         out = NetworkResult(
             topology=self.topology.describe(),

@@ -6,14 +6,12 @@ embarrassingly parallel: every grid point and every replication is an
 independent simulation.  This package turns that structure into wall
 time:
 
-* :class:`ParallelExecutor` — chunked, ordered map with a serial
-  ``workers=1`` fallback that is bit-identical to the old in-process
-  loops, delegating placement to a pluggable execution
-  :class:`Backend`;
-* :mod:`repro.runtime.backend` — the backend seam:
-  :class:`SerialBackend` (in-process reference),
-  :class:`ProcessPoolBackend` (local cores, the historical default for
-  ``workers > 1``) and :func:`make_backend` for CLI-style selection;
+* :mod:`repro.runtime.backend` — the one placement seam: a
+  :class:`Backend` is a chunked, ordered map.  :class:`SerialBackend`
+  (in-process, the ``workers=1`` default, bit-identical to the old
+  for-loops), :class:`ProcessPoolBackend` (local cores, the default
+  for ``workers > 1``) and :func:`make_backend` for CLI-style
+  selection; a failing item re-raises as :class:`TaskError`;
 * :mod:`repro.runtime.remote` — multi-host execution:
   ``SocketBackend`` dispatches task chunks to remote
   ``repro.cli worker --serve PORT`` processes over a length-prefixed
@@ -31,7 +29,8 @@ time:
   stops each one independently once its interval's relative half-width
   crosses an :class:`AdaptiveSettings` target, consuming a prefix of
   the fixed-count seed plan so converged runs stay bit-reproducible
-  (``map_sweep(..., ci_target=...)`` is the sweep-level entry point);
+  (``map_sweep`` with a ``ci_target`` in its ``exec_cfg`` is the
+  sweep-level entry point);
 * :mod:`repro.runtime.store` — content-addressed result memoization:
   :class:`ResultStore` keeps per-replication results on disk under a
   canonical SHA-256 :func:`task_key` of the task spec (parameters,
@@ -39,21 +38,23 @@ time:
   checksummed on read, so re-runs, figure regeneration and adaptive
   top-ups recompute only what the cache has never seen.
   :func:`cached_map` / :func:`cached_ensemble_map` are the
-  store-through-executor primitives the sweep, adaptive and network
+  store-through-backend primitives the sweep, adaptive and network
   layers build on;
 * :mod:`repro.runtime.config` — the declarative seam over all of the
   above: :class:`ExecutionConfig` bundles workers / backend spec /
   engine / store dir / seed mode / shards / adaptive settings into one
   frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
-  builds the live backend/store, and every driver takes it as its only
-  execution parameter, ``exec_cfg=`` (normalised once by
-  :func:`resolve_execution` and passed straight down).
+  builds the live backend/store once — a :class:`ResolvedExecution`
+  always holds its backend — and every driver, :func:`map_sweep`
+  included, takes it as its only execution parameter, ``exec_cfg=``
+  (normalised once by :func:`resolve_execution` and passed straight
+  down).
 
 Every experiment driver (``repro.experiments.figures``,
 ``node_energy``, ``sensitivity``, ``validation``) and :func:`map_sweep`
 run their grid × replications through the one loop,
 :func:`run_adaptive_rounds` (a fixed count is a single round); the
-network lifetime model routes its node set through the same executor
+network lifetime model routes its node set through the same backend
 and store, one :func:`cached_map` call whose chunk count is the
 ``shards`` knob.  The CLI exposes the knobs as ``--workers`` /
 ``--replications`` / ``--ci-target`` / ...
@@ -71,9 +72,9 @@ from .backend import (
     Backend,
     ProcessPoolBackend,
     SerialBackend,
+    TaskError,
     make_backend,
 )
-from .executor import ParallelExecutor, TaskError
 from .seeding import (
     SEED_MODES,
     replication_seeds,
@@ -102,7 +103,6 @@ __all__ = [
     "ResolvedExecution",
     "resolve_execution",
     "ENGINE_NAMES",
-    "ParallelExecutor",
     "TaskError",
     "Backend",
     "SerialBackend",

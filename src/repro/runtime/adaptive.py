@@ -4,7 +4,7 @@ A fixed ``--replications`` count spends the same effort on every sweep
 point — wasteful on low-variance points, under-powered on noisy ones.
 This module replaces the fixed count with a *sequential, rounds-based
 stopping rule*: evaluate every still-open point a batch of replications
-at a time through the shared :class:`~repro.runtime.ParallelExecutor`,
+at a time through the run's :class:`~repro.runtime.backend.Backend`,
 recompute each point's across-replication
 :func:`~repro.core.statistics.replication_interval` after the round,
 and close a point once ``relative_half_width() <= ci_target`` (or it
@@ -27,15 +27,19 @@ depend on execution order either.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from ..core.statistics import replication_interval
-from .executor import ParallelExecutor
+from .backend import Backend, SerialBackend
 from .store import ResultStore
 
 __all__ = ["AdaptiveSettings", "AdaptivePointRun", "run_adaptive_rounds"]
+
+#: Confidence level of the stopping intervals.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -45,29 +49,23 @@ class AdaptiveSettings:
     Parameters
     ----------
     ci_target:
-        Target relative CI half-width: a point is converged once
-        ``interval.relative_half_width() <= ci_target`` for every
-        tracked metric.  ``None`` is a fixed count: every point runs
-        exactly one round of ``min_replications`` (which must then
-        equal ``max_replications``) and no interval is computed.
+        Target relative CI half-width: a point is converged once the
+        :data:`CONFIDENCE` interval's ``relative_half_width() <=
+        ci_target`` for every tracked metric.  ``None`` is a fixed
+        count: every point runs exactly one round of
+        ``min_replications`` (which must then equal
+        ``max_replications``) and no interval is computed.
     min_replications:
-        Replications every point runs before the rule is first checked
-        (at least 2 under a ``ci_target`` — a single replication has an
-        infinite half-width).
+        Replications every point runs per round, so also before the
+        rule is first checked (at least 2 under a ``ci_target`` — a
+        single replication has an infinite half-width).
     max_replications:
         Hard cap per point; a point reaching it closes unconverged.
-    batch_size:
-        Replications added to every open point per subsequent round
-        (default: ``min_replications``).
-    confidence:
-        Confidence level of the stopping intervals.
     """
 
     ci_target: float | None
     min_replications: int = 2
     max_replications: int = 64
-    batch_size: int | None = None
-    confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if self.ci_target is None:
@@ -81,8 +79,8 @@ class AdaptiveSettings:
                     f"min_replications {self.min_replications} must equal "
                     f"max_replications {self.max_replications}"
                 )
-        elif self.ci_target <= 0:
-            raise ValueError(f"ci_target must be > 0, got {self.ci_target}")
+        elif not math.isfinite(self.ci_target) or self.ci_target <= 0:
+            raise ValueError(f"ci_target must be finite and > 0, got {self.ci_target}")
         elif self.min_replications < 2:
             raise ValueError(
                 "min_replications must be >= 2 (one replication has an "
@@ -93,41 +91,6 @@ class AdaptiveSettings:
                 f"max_replications {self.max_replications} must be >= "
                 f"min_replications {self.min_replications}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-
-    @classmethod
-    def from_knobs(
-        cls,
-        replications: int,
-        ci_target: float | None = None,
-        min_replications: int = 2,
-        max_replications: int = 64,
-        confidence: float = 0.95,
-    ) -> "AdaptiveSettings":
-        """The stopping rule the execution knobs describe.
-
-        Without ``ci_target`` it is a fixed count: one round of exactly
-        ``replications``.  With it, ``replications`` acts as a floor on
-        ``min_replications``.
-        """
-        if ci_target is None:
-            return cls(None, replications, replications, confidence=confidence)
-        return cls(
-            ci_target,
-            min_replications=max(min_replications, replications),
-            max_replications=max_replications,
-            confidence=confidence,
-        )
-
-    @property
-    def round_size(self) -> int:
-        """Replications added per round after the first."""
-        return self.batch_size if self.batch_size is not None else self.min_replications
 
 
 @dataclass
@@ -166,9 +129,7 @@ def _converged(
     """Whether every metric's interval meets ``settings.ci_target``."""
     samples = [_metric_values(metrics, v) for v in values]
     return all(
-        replication_interval(
-            [s[m] for s in samples], settings.confidence
-        ).relative_half_width()
+        replication_interval([s[m] for s in samples], CONFIDENCE).relative_half_width()
         <= settings.ci_target
         for m in range(len(samples[0]))
     )
@@ -180,7 +141,7 @@ def run_adaptive_rounds(
     n_points: int,
     settings: AdaptiveSettings,
     metrics: Callable[[Any], float | Sequence[float]] = float,
-    executor: ParallelExecutor | None = None,
+    backend: Backend | None = None,
     ensemble_fn: Callable[[Any], list[Any]] | None = None,
     ensemble_task_for: Callable[[int, int, int], Any] | None = None,
     store: ResultStore | None = None,
@@ -194,12 +155,12 @@ def run_adaptive_rounds(
     Parameters
     ----------
     fn:
-        The task evaluator (module-level/picklable when the executor
-        runs with ``workers > 1``).
+        The task evaluator (module-level/picklable for an
+        out-of-process backend).
     task_for:
         ``(point_index, replication_index) -> item`` — called in the
         parent, so it may close over local state; the returned items
-        must be picklable for a multi-process executor.  It must be a
+        must be picklable for an out-of-process backend.  It must be a
         pure function of its indices: the controller relies on task
         ``(i, r)`` being identical whenever it is requested, which is
         what makes the executed replications a prefix of the fixed run.
@@ -211,9 +172,9 @@ def run_adaptive_rounds(
         Maps one evaluation result to the float (or several floats)
         whose interval must tighten; a point converges only when
         *every* metric meets ``ci_target``.  Applied in the parent.
-    executor:
-        The :class:`ParallelExecutor` each round's batch is submitted
-        through (default: serial).
+    backend:
+        The :class:`~repro.runtime.backend.Backend` each round's batch
+        is submitted through (default: in-process).
     ensemble_fn / ensemble_task_for:
         The ``engine="vectorized"`` round shape: when both are given,
         each round submits **one task per open point** covering all of
@@ -250,7 +211,8 @@ def run_adaptive_rounds(
         raise ValueError(
             "ensemble_fn and ensemble_task_for must be given together"
         )
-    pool = executor if executor is not None else ParallelExecutor()
+    if backend is None:
+        backend = SerialBackend()
     fixed = settings.ci_target is None
     runs = [
         AdaptivePointRun(values=[], converged=None if fixed else False)
@@ -262,19 +224,19 @@ def run_adaptive_rounds(
         batch: list[tuple[int, int, int]] = []
         for i in open_points:
             done = len(runs[i].values)
-            want = settings.min_replications if done == 0 else settings.round_size
-            batch.append((i, done, min(want, settings.max_replications - done)))
+            want = min(settings.min_replications, settings.max_replications - done)
+            batch.append((i, done, want))
         rep_items = [[task_for(i, done + r) for r in range(n)] for i, done, n in batch]
         if ensemble_fn is None:
             flat = iter(
                 cached_map(
-                    pool, fn, [item for items in rep_items for item in items], store
+                    backend, fn, [item for items in rep_items for item in items], store
                 )
             )
             per_point = [[next(flat) for _ in items] for items in rep_items]
         else:
             per_point = cached_ensemble_map(
-                pool,
+                backend,
                 ensemble_fn,
                 [ensemble_task_for(i, done, n) for i, done, n in batch],
                 store,

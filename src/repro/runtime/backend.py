@@ -1,18 +1,18 @@
-"""Pluggable execution backends behind the :class:`ParallelExecutor` seam.
+"""Execution backends: the one seam deciding *where* tasks run.
 
 A *backend* answers one question — "evaluate these picklable task
 chunks and give me the results back in order" — and nothing else.  The
-chunking policy, seed plans, adaptive control and sharding all live
-above this seam, which is what makes the implementations
-interchangeable:
+seed plans, adaptive control and store lookups all live above this
+seam, which is what makes the implementations interchangeable.  Every
+:class:`~repro.runtime.ResolvedExecution` holds exactly one backend,
+built once by :meth:`~repro.runtime.ExecutionConfig.resolve`:
 
-* :class:`SerialBackend` — in-process, in-order evaluation.
-  Bit-identical to the plain for-loops the drivers used before the
-  runtime existed (it is the ``workers=1`` path of
-  :class:`~repro.runtime.ParallelExecutor`).
-* :class:`ProcessPoolBackend` — the historical
+* :class:`SerialBackend` — in-process, in-order evaluation (the
+  default for ``workers=1``).  Bit-identical to the plain for-loops the
+  drivers used before the runtime existed.
+* :class:`ProcessPoolBackend` — a
   :class:`concurrent.futures.ProcessPoolExecutor` fan-out across local
-  cores.
+  cores (the default for ``workers > 1``).
 * :class:`~repro.runtime.remote.SocketBackend` — chunks dispatched to
   remote worker processes over a length-prefixed TCP protocol
   (``python -m repro.cli worker --serve PORT`` on each host).
@@ -20,28 +20,30 @@ interchangeable:
 The contract every backend must honour (asserted in
 ``tests/runtime/test_backends.py`` and ``tests/runtime/test_remote.py``):
 
-* **Ordering** — ``submit_chunks(fn, chunks)`` returns one result list
-  per chunk, in chunk-submission order, whatever order execution
-  finishes in.
+* **Ordering** — ``map(fn, items)`` returns results in item order, and
+  ``submit_chunks(fn, chunks)`` one result list per chunk in
+  submission order, whatever order execution finishes in.  Chunking
+  amortises per-task IPC; it never affects results.
 * **Purity of placement** — seeds travel as data inside the items
   (:mod:`repro.runtime.seeding`), so *where* a chunk runs can never
   change the numbers: every backend is bit-identical to
-  :class:`SerialBackend`.
+  :class:`SerialBackend`.  ``fn`` must be module-level and every item
+  picklable for an out-of-process backend, under any start method.
 * **Error provenance** — a failing item re-raises in the caller as
-  :class:`~repro.runtime.TaskError` carrying the item's global index,
-  whichever process (or host) evaluated it.
+  :class:`TaskError` carrying the item and its global index, whichever
+  process (or host) evaluated it.
 """
 
 from __future__ import annotations
 
 import math
+import traceback
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar
 
-from .executor import TaskError, _run_chunk
-
 __all__ = [
+    "TaskError",
     "Backend",
     "SerialBackend",
     "ProcessPoolBackend",
@@ -57,6 +59,59 @@ Chunk = tuple[int, Sequence[Any]]
 
 #: CLI-facing backend spec names (see :func:`make_backend`).
 BACKEND_NAMES = ("local", "processes", "socket")
+
+
+class TaskError(RuntimeError):
+    """One task of a backend map failed.
+
+    Attributes
+    ----------
+    index:
+        Position of the failing item in the submitted sequence.
+    item:
+        The item itself (e.g. the sweep threshold).
+    """
+
+    def __init__(self, index: int, item: Any, message: str) -> None:
+        super().__init__(
+            f"parallel task {index} failed for item {item!r}: {message}"
+        )
+        self.index = index
+        self.item = item
+        self.message = message
+
+    def __reduce__(self):
+        # Exception.__reduce__ would replay args=(formatted,) into
+        # __init__(index, item, message); rebuild from the real fields
+        # so the error pickles cleanly across process boundaries.
+        return (TaskError, (self.index, self.item, self.message))
+
+
+def _run_chunk(
+    fn: Callable[[Any], Any],
+    start: int,
+    items: Sequence[Any],
+    in_process: bool = False,
+) -> list[Any]:
+    """The chunk loop; failures carry the global item index.
+
+    A worker process can only ship the original exception as text, so
+    its traceback goes into the message; ``in_process`` keeps the
+    exception itself attached as ``__cause__`` instead.
+    """
+    out: list[Any] = []
+    for offset, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except TaskError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - rewrap with provenance
+            if in_process:
+                raise TaskError(start + offset, item, str(exc)) from exc
+            raise TaskError(
+                start + offset, item, f"{exc}\n{traceback.format_exc()}"
+            ) from None
+    return out
 
 
 class Backend(ABC):
@@ -151,18 +206,8 @@ class SerialBackend(Backend):
         items: Sequence[T],
         chunk_size: int | None = None,
     ) -> list[R]:
-        # The historical serial loop: no chunk bookkeeping, and the
-        # original exception stays attached as __cause__ (a worker
-        # process can only ship it as text; in-process we keep it).
-        out: list[R] = []
-        for i, item in enumerate(items):
-            try:
-                out.append(fn(item))
-            except TaskError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - uniform contract
-                raise TaskError(i, item, str(exc)) from exc
-        return out
+        # The historical serial loop: no chunk bookkeeping.
+        return _run_chunk(fn, 0, items, in_process=True)
 
 
 class ProcessPoolBackend(Backend):
@@ -179,7 +224,9 @@ class ProcessPoolBackend(Backend):
     layer wants, where per-request pool spin-up would dominate small
     requests.  Call :meth:`close` to shut the persistent pool down
     (the next use re-creates it).  Reuse changes wall time only, never
-    results.
+    results.  Without ``keep_alive``, a map of a single item runs
+    in-process: spinning up a pool for one task costs more than the
+    task.
 
     >>> ProcessPoolBackend(workers=2).map(abs, [-2, -1, 3])
     [2, 1, 3]
@@ -236,6 +283,9 @@ class ProcessPoolBackend(Backend):
 
         if not chunks:
             return []
+        if not self.keep_alive and len(chunks) == 1 and len(chunks[0][1]) == 1:
+            start, items = chunks[0]
+            return [_run_chunk(fn, start, items, in_process=True)]
         if self.keep_alive:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(

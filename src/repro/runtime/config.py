@@ -14,7 +14,9 @@ a single frozen, serialisable value:
 * **resolvable** — :meth:`ExecutionConfig.resolve` builds the live
   :class:`~repro.runtime.backend.Backend` /
   :class:`~repro.runtime.store.ResultStore` objects exactly once,
-  yielding a :class:`ResolvedExecution` the drivers consume.
+  yielding a :class:`ResolvedExecution` the drivers consume.  The
+  backend is the one placement object: a resolved run always holds
+  one, and nothing below it looks at ``workers`` again.
 
 Execution settings never change reported numbers (the repo's standing
 bit-identity invariant), so an ``ExecutionConfig`` is *how* to run,
@@ -39,7 +41,6 @@ from typing import Any
 
 from .adaptive import AdaptiveSettings
 from .backend import BACKEND_NAMES, Backend, make_backend
-from .executor import ParallelExecutor
 from .seeding import SEED_MODES
 from .store import ResultStore
 
@@ -83,8 +84,8 @@ class ExecutionConfig:
     #: floor when ``ci_target`` is set).
     replications: int = 1
     #: Backend spec (one of :data:`~repro.runtime.backend.BACKEND_NAMES`)
-    #: or ``None`` for the historical default: processes when
-    #: ``workers > 1``, else in-process.
+    #: or ``None`` for the default: processes when ``workers > 1``,
+    #: else in-process.
     backend: str | None = None
     #: ``host:port`` worker addresses for ``backend="socket"``.
     connect: tuple[str, ...] = ()
@@ -210,16 +211,17 @@ class ExecutionConfig:
         reusing the same backend and store across every request.  Call
         ``backend.close()`` when done.  Reuse never changes results.
         """
-        backend: Backend | None = None
-        if self.backend is not None:
-            backend = make_backend(
-                self.backend,
-                workers=self.workers,
-                addresses=list(self.connect) or None,
-                keep_alive=keep_alive,
-            )
         store = ResultStore(self.store_dir) if self.store_dir else None
-        return self.bind(backend=backend, store=store)
+        return self.bind(backend=self._make_backend(keep_alive), store=store)
+
+    def _make_backend(self, keep_alive: bool = False) -> Backend:
+        default = "processes" if self.workers > 1 else "local"
+        return make_backend(
+            self.backend or default,
+            workers=self.workers,
+            addresses=list(self.connect) or None,
+            keep_alive=keep_alive,
+        )
 
     def bind(
         self,
@@ -232,8 +234,12 @@ class ExecutionConfig:
         The one place a :class:`ResolvedExecution` is built from a
         config: :meth:`resolve` binds the objects it constructs, and a
         caller that already holds live ones (a long-lived service's
-        shared pool, a test's store) binds those instead.
+        shared pool, a test's store) binds those instead.  Without a
+        ``backend`` the config's own is built, so the result always
+        holds one.
         """
+        if backend is None:
+            backend = self._make_backend()
         knobs = {name: getattr(self, name) for name in _KNOBS}
         return ResolvedExecution(backend=backend, store=store, **knobs)
 
@@ -243,8 +249,9 @@ class ResolvedExecution:
     """An :class:`ExecutionConfig` with its live objects constructed.
 
     This is what drivers consume: the scalar knobs plus an instantiated
-    :class:`~repro.runtime.backend.Backend` and
-    :class:`~repro.runtime.store.ResultStore` (both optional).  Build
+    :class:`~repro.runtime.backend.Backend` — the one placement object,
+    never ``None`` — and an optional
+    :class:`~repro.runtime.store.ResultStore`.  Build
     one with :meth:`ExecutionConfig.resolve` or
     :meth:`ExecutionConfig.bind`; resolve once per run so store
     hit/miss counters accumulate across every driver call of that run.
@@ -258,35 +265,26 @@ class ResolvedExecution:
     ci_target: float | None
     max_replications: int
     min_replications: int
-    backend: Backend | None
+    backend: Backend
     store: ResultStore | None
-
-    def executor(
-        self,
-        chunk_size: int | None = None,
-        mp_context: str | None = None,
-    ) -> ParallelExecutor:
-        """A :class:`ParallelExecutor` over this config's placement."""
-        return ParallelExecutor(
-            workers=self.workers,
-            chunk_size=chunk_size,
-            mp_context=mp_context,
-            backend=self.backend,
-        )
 
     def replication_settings(
         self, replications: int | None = None
     ) -> AdaptiveSettings:
         """The per-point stopping rule these knobs describe.
 
-        ``replications`` overrides this config's fixed count (a driver
-        whose points are single runs passes 1); see
-        :meth:`AdaptiveSettings.from_knobs`.
+        Without ``ci_target`` it is a fixed count: one round of exactly
+        ``replications`` (this config's count unless overridden — a
+        driver whose points are single runs passes 1).  With it,
+        ``replications`` acts as a floor on ``min_replications``.
         """
-        return AdaptiveSettings.from_knobs(
-            self.replications if replications is None else replications,
-            ci_target=self.ci_target,
-            min_replications=self.min_replications,
+        if replications is None:
+            replications = self.replications
+        if self.ci_target is None:
+            return AdaptiveSettings(None, replications, replications)
+        return AdaptiveSettings(
+            self.ci_target,
+            min_replications=max(self.min_replications, replications),
             max_replications=self.max_replications,
         )
 

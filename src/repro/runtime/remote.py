@@ -61,8 +61,7 @@ from collections.abc import Callable, Sequence
 from queue import Empty, Queue
 from typing import Any
 
-from .backend import Backend, Chunk
-from .executor import TaskError, _run_chunk
+from .backend import Backend, Chunk, TaskError, _run_chunk
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -25,10 +25,10 @@ The three layers:
   ``manifest.json`` carrying schema/version stamps and persistent
   hit/miss counters.  A manifest from a different schema disables the
   store with a warning (every read misses, writes are skipped).
-* :func:`cached_map` / :func:`cached_ensemble_map` — executor-level
+* :func:`cached_map` / :func:`cached_ensemble_map` — backend-level
   wrappers the sweep, adaptive and network layers use: consult the store in
-  the *parent* process, submit only the misses through the
-  :class:`~repro.runtime.ParallelExecutor` (so remote socket workers
+  the *parent* process, submit only the misses through the run's
+  :class:`~repro.runtime.backend.Backend` (so remote socket workers
   never need the store directory), and write freshly computed values
   back.
 
@@ -59,7 +59,7 @@ from typing import Any
 
 import numpy as np
 
-from .executor import TaskError
+from .backend import Backend, TaskError
 
 __all__ = [
     "StoreWarning",
@@ -583,23 +583,25 @@ def _validate_entry(blob: bytes) -> str | None:
 
 
 def cached_map(
-    pool: Any,
+    backend: Backend,
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     store: ResultStore | None,
+    chunk_size: int | None = None,
 ) -> list[Any]:
-    """``pool.map(fn, items)`` with per-item memoization.
+    """``backend.map(fn, items, chunk_size)`` with per-item memoization.
 
     Keys are :func:`task_key(fn, item) <task_key>`; hits are served
     from the store in the parent process, only misses are submitted
-    through ``pool``, and fresh results are written back.  With
-    ``store=None`` this is exactly ``pool.map(fn, items)``.  A failing
-    miss re-raises as :class:`~repro.runtime.executor.TaskError` with
-    its index in ``items``, not in the submitted miss list.
+    through ``backend`` (chunked by ``chunk_size``), and fresh results
+    are written back.  With ``store=None`` this is exactly
+    ``backend.map(fn, items, chunk_size)``.  A failing miss re-raises as
+    :class:`~repro.runtime.TaskError` with its index in ``items``, not
+    in the submitted miss list.
     """
     items = list(items)
     if store is None:
-        return pool.map(fn, items)
+        return backend.map(fn, items, chunk_size)
     keys = [task_key(fn, item) for item in items]
     out: list[Any] = [None] * len(items)
     missing: list[int] = []
@@ -611,7 +613,7 @@ def cached_map(
             missing.append(i)
     if missing:
         try:
-            computed = pool.map(fn, [items[i] for i in missing])
+            computed = backend.map(fn, [items[i] for i in missing], chunk_size)
         except TaskError as exc:
             raise TaskError(
                 missing[exc.index], exc.item, exc.message
@@ -623,7 +625,7 @@ def cached_map(
 
 
 def cached_ensemble_map(
-    pool: Any,
+    backend: Backend,
     ensemble_fn: Callable[[Any], list[Any]],
     tasks: Sequence[Any],
     store: ResultStore | None,
@@ -656,7 +658,7 @@ def cached_ensemble_map(
     if store is None:
         rep_keys = None
         submit = [(i, 0) for i in range(len(tasks))]
-        tails = pool.map(ensemble_fn, tasks)
+        tails = backend.map(ensemble_fn, tasks)
     else:
         rep_keys = [
             [task_key(key_fn, item) for item in items] for items in rep_items
@@ -670,9 +672,14 @@ def cached_ensemble_map(
                 out[i].append(value)
             if len(out[i]) < len(keys):
                 submit.append((i, len(out[i])))
-        tails = pool.map(
-            ensemble_fn, [rebuild_tail(i, start) for i, start in submit]
-        )
+        try:
+            tails = backend.map(
+                ensemble_fn, [rebuild_tail(i, start) for i, start in submit]
+            )
+        except TaskError as exc:
+            raise TaskError(
+                submit[exc.index][0], exc.item, exc.message
+            ) from exc.__cause__
     for (i, start), tail in zip(submit, tails):
         expected = len(rep_items[i]) - start
         if len(tail) != expected:

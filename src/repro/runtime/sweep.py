@@ -9,16 +9,20 @@ and the multiprocessing start method.
 
 Example
 -------
->>> from repro.runtime import map_sweep
+>>> from repro.runtime import ExecutionConfig, map_sweep
 >>> def noisy_square(x, seed):
 ...     import numpy as np
 ...     return x * x + np.random.default_rng(seed).normal(0.0, 0.1)
->>> points = map_sweep(noisy_square, [1.0, 2.0], seed=7, replications=8)
+>>> points = map_sweep(
+...     noisy_square, [1.0, 2.0], seed=7,
+...     exec_cfg=ExecutionConfig(replications=8),
+... )
 >>> points[0].value.interval().contains(1.0)
 True
 
-With ``workers > 1`` the evaluate callable must be defined at module
-level (picklable); with the default ``workers=1`` any callable works.
+Execution knobs come only as ``exec_cfg=``, like every driver's.  With
+``workers > 1`` the evaluate callable must be defined at module level
+(picklable); with the default ``workers=1`` any callable works.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ import numpy as np
 
 from ..core.statistics import ConfidenceInterval, replication_interval
 from ..experiments.sweep import SweepPoint
-from .adaptive import AdaptiveSettings, run_adaptive_rounds
-from .executor import ParallelExecutor
+from .adaptive import run_adaptive_rounds
+from .config import ExecutionConfig, ResolvedExecution, resolve_execution
 from .seeding import sequence_to_seed
-from .store import ResultStore
 
 __all__ = ["ReplicatedValue", "map_sweep"]
 
@@ -46,7 +49,7 @@ class ReplicatedValue:
     """Per-replication values of one sweep point plus their seeds.
 
     ``converged`` is ``None`` for fixed-count sweeps; under adaptive
-    replication control (``ci_target=``) it records whether the point
+    replication control (a ``ci_target``) it records whether the point
     met the relative half-width target before ``max_replications``.
     """
 
@@ -91,26 +94,13 @@ def _evaluate_ensemble_task(
     return list(values)
 
 
-_ENGINES = ("interpreted", "vectorized")
-
-
 def map_sweep(
     evaluate: Callable[[float, int], T],
     thresholds: Sequence[float],
     *,
-    workers: int = 1,
-    replications: int = 1,
     seed: int | None = None,
-    chunk_size: int | None = None,
-    mp_context: str | None = None,
-    backend: Any | None = None,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    confidence: float = 0.95,
-    engine: str = "interpreted",
+    exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
     ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
-    store: ResultStore | None = None,
 ) -> list[SweepPoint]:
     """Evaluate ``evaluate(threshold, seed)`` over a grid, in parallel.
 
@@ -118,83 +108,61 @@ def map_sweep(
     ----------
     evaluate:
         ``(threshold, seed) -> value``.  Must be module-level
-        (picklable) when ``workers > 1``.
+        (picklable) for an out-of-process backend.
     thresholds:
         The design-point grid; result order matches it.
-    workers / chunk_size / mp_context:
-        Execution knobs (see :class:`~repro.runtime.ParallelExecutor`);
-        they never affect the returned values.
-    backend:
-        Explicit :class:`~repro.runtime.backend.Backend` the tasks are
-        submitted through (e.g. a
-        :class:`~repro.runtime.remote.SocketBackend` over remote
-        workers); ``None`` keeps the ``workers``-driven default.  Like
-        every execution knob, it never affects the returned values.
-    replications:
-        Independent evaluations per point.  With ``replications == 1``
-        each :class:`SweepPoint.value` is the bare evaluate result;
-        otherwise it is a :class:`ReplicatedValue`.
     seed:
         Root of the seed spawn tree.  ``None`` draws fresh OS entropy
         (still collision-free, not reproducible across calls).
-    ci_target:
-        When set, switches to *adaptive replication control*
-        (:mod:`repro.runtime.adaptive`): every point runs rounds of
-        replications until its across-replication interval satisfies
-        ``relative_half_width() <= ci_target`` or ``max_replications``
-        is reached.  ``replications`` then acts as a floor on
-        ``min_replications``, values must be float-convertible, and
-        every :class:`SweepPoint.value` is a :class:`ReplicatedValue`
-        whose ``converged`` flag and length report the outcome.  Seeds
-        still come from the same two-level spawn tree, always sized at
-        ``max_replications`` per point, so an adaptive run is a
-        bit-identical prefix of ``map_sweep(...,
-        replications=max_replications)`` at the same seed.
-    max_replications / min_replications / confidence:
-        Adaptive stopping-rule knobs; ignored unless ``ci_target`` is
-        set.
-    engine:
-        ``"interpreted"`` (default) evaluates one ``(point,
-        replication)`` task at a time through ``evaluate``;
-        ``"vectorized"`` submits **one task per sweep point** that runs
-        all the point's replications in lockstep through
-        ``ensemble_evaluate`` (chunking then batches sweep points, not
-        replications).  The seed plan is identical either way, so for a
-        bit-identical ``ensemble_evaluate`` (e.g. one built on
-        :func:`repro.core.fast.run_ensemble`) the returned points match
-        the interpreted engine exactly.
+    exec_cfg:
+        How to run: an :class:`~repro.runtime.ExecutionConfig` (or an
+        already-resolved run), as every driver takes it.  Its knobs
+        mean here:
+
+        * ``replications`` — independent evaluations per point.  With
+          1 each :class:`SweepPoint.value` is the bare evaluate result;
+          otherwise it is a :class:`ReplicatedValue`.
+        * ``ci_target`` / ``min_replications`` / ``max_replications``
+          — *adaptive replication control*
+          (:mod:`repro.runtime.adaptive`): every point runs rounds of
+          replications until its across-replication interval satisfies
+          ``relative_half_width() <= ci_target`` or
+          ``max_replications`` is reached.  ``replications`` is then a
+          floor on ``min_replications``, values must be
+          float-convertible, and every value is a
+          :class:`ReplicatedValue` whose ``converged`` flag and length
+          report the outcome.  Seeds come from the same two-level
+          spawn tree, always sized at ``max_replications`` per point,
+          so an adaptive run is a bit-identical prefix of the fixed
+          ``replications=max_replications`` run at the same seed.
+        * ``engine`` — ``"interpreted"`` evaluates one ``(point,
+          replication)`` task at a time through ``evaluate``;
+          ``"vectorized"`` submits **one task per sweep point** that
+          runs all the point's replications in lockstep through
+          ``ensemble_evaluate``.  The seed plan is identical either
+          way, so for a bit-identical ``ensemble_evaluate`` (e.g. one
+          built on :func:`repro.core.fast.run_ensemble`) the returned
+          points match the interpreted engine exactly.
+        * the backend and store — where tasks run and which cache
+          serves them.  Store keys are derived from the *interpreted*
+          per-replication task ``(evaluate, threshold, seed)`` whatever
+          the engine, so both engines share one cache.  Placement
+          never affects the returned values or the keys.
     ensemble_evaluate:
         ``(threshold, seeds) -> [value, ...]`` in seed order; required
         for (and only used by) ``engine="vectorized"``.  Must be
-        module-level (picklable) when ``workers > 1``.
-    store:
-        Optional :class:`~repro.runtime.store.ResultStore` memoizing
-        per-replication values.  Keys are derived from the
-        *interpreted* per-replication task ``(evaluate, threshold,
-        seed)`` regardless of ``engine`` — the vectorized engine is
-        bit-identical per replication, so both engines (and every
-        backend; the store is consulted in the parent only) share one
-        cache.  Execution knobs never enter the key.
+        module-level (picklable) for an out-of-process backend.
 
     Returns
     -------
     list[SweepPoint]
         One point per threshold, in grid order.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "vectorized" and ensemble_evaluate is None:
+    rx = resolve_execution(exec_cfg)
+    if rx.engine == "vectorized" and ensemble_evaluate is None:
         raise ValueError("engine='vectorized' requires ensemble_evaluate")
     grid = [float(t) for t in thresholds]
-    settings = AdaptiveSettings.from_knobs(
-        replications,
-        ci_target=ci_target,
-        min_replications=min_replications,
-        max_replications=max_replications,
-        confidence=confidence,
-    )
+    settings = rx.replication_settings()
     # The two-level seed plan always spans max_replications per point;
     # the controller consumes a prefix of it, which is what makes a
     # converged run a reproducible prefix of the fixed run.
@@ -204,7 +172,7 @@ def map_sweep(
         for ps in point_seqs
     ]
     ensemble_kwargs: dict[str, Any] = {}
-    if engine == "vectorized":
+    if rx.engine == "vectorized":
         ensemble_kwargs = {
             "ensemble_fn": _evaluate_ensemble_task,
             "ensemble_task_for": lambda i, start, n: (
@@ -218,16 +186,11 @@ def map_sweep(
         lambda i, r: (evaluate, grid[i], seeds[i][r]),
         len(grid),
         settings,
-        executor=ParallelExecutor(
-            workers=workers,
-            chunk_size=chunk_size,
-            mp_context=mp_context,
-            backend=backend,
-        ),
-        store=store,
+        backend=rx.backend,
+        store=rx.store,
         **ensemble_kwargs,
     )
-    if ci_target is None and replications == 1:
+    if rx.ci_target is None and rx.replications == 1:
         return [SweepPoint(t, run.values[0]) for t, run in zip(grid, runs)]
     return [
         SweepPoint(

@@ -556,9 +556,7 @@ class SweepService:
                 job.cancel_requested = True
             self._cond.notify_all()
         self._worker.join(timeout)
-        backend = self._rx.backend
-        if backend is not None:
-            backend.close()
+        self._rx.backend.close()
         store = self._rx.store
         if store is not None:
             store.flush_counters()

@@ -71,7 +71,10 @@ RUNS = {
         [0.5, 1.0], thresholds=(0.001, 1.0), horizon=5.0, exec_cfg=_rx(s)
     ),
     "map_sweep": lambda s: map_sweep(
-        math.copysign, [0.5, 1.5], seed=7, replications=3, store=s
+        math.copysign,
+        [0.5, 1.5],
+        seed=7,
+        exec_cfg=ExecutionConfig(replications=3).bind(store=s),
     ),
     "simulate": lambda s: _network().simulate(
         5.0, seed=7, base_rate=0.5, exec_cfg=_rx(s)
@@ -153,6 +156,7 @@ def test_cpu_comparison_top_up_counters_are_pinned(engine, tmp_path):
 
 
 ENTRY_POINTS = [
+    map_sweep,
     run_cpu_comparison,
     run_node_energy_sweep,
     run_simple_node_validation,

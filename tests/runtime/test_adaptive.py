@@ -10,7 +10,8 @@ import pytest
 
 from repro.runtime import (
     AdaptiveSettings,
-    ParallelExecutor,
+    ExecutionConfig,
+    ProcessPoolBackend,
     ReplicatedValue,
     map_sweep,
     run_adaptive_rounds,
@@ -30,9 +31,22 @@ def _identity(task):
 
 class TestAdaptiveSettings:
     def test_round_size_defaults_to_min_replications(self):
-        s = AdaptiveSettings(ci_target=0.1, min_replications=3)
-        assert s.round_size == 3
-        assert AdaptiveSettings(ci_target=0.1, batch_size=5).round_size == 5
+        rounds: list[list[int]] = []
+
+        def task_for(i, r):
+            if r % 3 == 0:
+                rounds.append([])
+            rounds[-1].append(r)
+            return float(r)  # linear drift: never converges
+
+        run_adaptive_rounds(
+            _identity,
+            task_for,
+            1,
+            AdaptiveSettings(ci_target=1e-9, min_replications=3, max_replications=8),
+        )
+        # Every round adds min_replications; the last is capped at max.
+        assert rounds == [[0, 1, 2], [3, 4, 5], [6, 7]]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -41,10 +55,9 @@ class TestAdaptiveSettings:
             AdaptiveSettings(ci_target=0.1, min_replications=1)
         with pytest.raises(ValueError):
             AdaptiveSettings(ci_target=0.1, min_replications=8, max_replications=4)
-        with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, batch_size=0)
-        with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, confidence=1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="ci_target"):
+                AdaptiveSettings(ci_target=bad)
 
 
 class TestRunAdaptiveRounds:
@@ -81,24 +94,6 @@ class TestRunAdaptiveRounds:
         assert not run.converged
         assert run.replications == 7
 
-    def test_round_growth_uses_batch_size(self):
-        calls: list[int] = []
-
-        def task_for(i, r):
-            calls.append(r)
-            return float(r)
-
-        run_adaptive_rounds(
-            _identity,
-            task_for,
-            1,
-            AdaptiveSettings(
-                ci_target=1e-9, min_replications=2, max_replications=9, batch_size=3
-            ),
-        )
-        # Rounds: 2, then +3, +3, then +1 capped at max.
-        assert calls == list(range(9))
-
     def test_multi_metric_requires_all_to_converge(self):
         # Metric 0 is constant (instantly tight); metric 1 drifts.
         [run] = run_adaptive_rounds(
@@ -124,7 +119,7 @@ class TestRunAdaptiveRounds:
             lambda i, r: (0.5 * (i + 1), 1000 * i + r),
             3,
             settings,
-            executor=ParallelExecutor(workers=2),
+            backend=ProcessPoolBackend(2),
         )
         assert [run.values for run in serial] == [run.values for run in parallel]
         assert [run.converged for run in serial] == [
@@ -142,9 +137,13 @@ class TestMapSweepAdaptive:
     GRID = [0.01, 0.2, 2.0]
 
     def test_adaptive_is_prefix_of_fixed_run(self):
-        fixed = map_sweep(seeded_noise, self.GRID, seed=11, replications=16)
+        fixed = map_sweep(
+            seeded_noise, self.GRID, seed=11,
+            exec_cfg=ExecutionConfig(replications=16),
+        )
         adaptive = map_sweep(
-            seeded_noise, self.GRID, seed=11, ci_target=0.2, max_replications=16
+            seeded_noise, self.GRID, seed=11,
+            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=16),
         )
         for f, a in zip(fixed, adaptive):
             k = a.value.replications
@@ -152,9 +151,14 @@ class TestMapSweepAdaptive:
             assert a.value.seeds == f.value.seeds[:k]
 
     def test_adaptive_independent_of_workers(self):
-        kwargs = dict(seed=11, ci_target=0.2, max_replications=16)
-        serial = map_sweep(seeded_noise, self.GRID, workers=1, **kwargs)
-        parallel = map_sweep(seeded_noise, self.GRID, workers=3, **kwargs)
+        cfg = ExecutionConfig(ci_target=0.2, max_replications=16)
+        serial = map_sweep(
+            seeded_noise, self.GRID, seed=11, exec_cfg=cfg
+        )
+        parallel = map_sweep(
+            seeded_noise, self.GRID, seed=11,
+            exec_cfg=cfg.with_overrides(workers=3),
+        )
         assert serial == parallel  # frozen dataclasses: bit-identical
 
     def test_noisier_points_replicate_more(self):
@@ -162,8 +166,7 @@ class TestMapSweepAdaptive:
             seeded_noise,
             [0.01, 2.0],
             seed=11,
-            ci_target=0.2,
-            max_replications=32,
+            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=32),
         )
         quiet, noisy = points
         assert quiet.value.converged
@@ -171,7 +174,8 @@ class TestMapSweepAdaptive:
 
     def test_max_replications_cap(self):
         [point] = map_sweep(
-            seeded_noise, [5.0], seed=11, ci_target=1e-9, max_replications=5
+            seeded_noise, [5.0], seed=11,
+            exec_cfg=ExecutionConfig(ci_target=1e-9, max_replications=5),
         )
         assert point.value.replications == 5
         assert point.value.converged is False
@@ -181,15 +185,16 @@ class TestMapSweepAdaptive:
             seeded_noise,
             [0.001],
             seed=11,
-            replications=6,
-            ci_target=0.5,
-            max_replications=16,
+            exec_cfg=ExecutionConfig(
+                replications=6, ci_target=0.5, max_replications=16
+            ),
         )
         assert point.value.replications >= 6
 
     def test_always_returns_replicated_values_with_flag(self):
         points = map_sweep(
-            seeded_noise, self.GRID, seed=11, ci_target=0.5, max_replications=8
+            seeded_noise, self.GRID, seed=11,
+            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=8),
         )
         for p in points:
             assert isinstance(p.value, ReplicatedValue)
@@ -197,5 +202,8 @@ class TestMapSweepAdaptive:
             assert len(p.value.seeds) == p.value.replications
 
     def test_fixed_sweeps_leave_converged_unset(self):
-        [point] = map_sweep(seeded_noise, [0.5], seed=11, replications=3)
+        [point] = map_sweep(
+            seeded_noise, [0.5], seed=11,
+            exec_cfg=ExecutionConfig(replications=3),
+        )
         assert point.value.converged is None

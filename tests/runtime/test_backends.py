@@ -13,10 +13,11 @@ import pytest
 
 from repro.runtime import (
     BACKEND_NAMES,
-    ParallelExecutor,
+    ExecutionConfig,
     ProcessPoolBackend,
     SerialBackend,
     TaskError,
+    cached_map,
     make_backend,
 )
 from repro.runtime.backend import Backend
@@ -44,6 +45,11 @@ class RecordingBackend(SerialBackend):
 
     # Route map() through submit_chunks so the recording sees chunking.
     map = Backend.map
+
+
+def _placed(workers):
+    """The backend a run with ``workers`` resolves to."""
+    return ExecutionConfig(workers=workers).resolve().backend
 
 
 @pytest.fixture
@@ -138,12 +144,12 @@ class TestChunkPolicy:
             SerialBackend().resolve_chunk_size(10, 0)
 
     def test_matches_executor_resolution(self, pool_chunks):
-        # The executor passes its chunk_size through; the pool resolves
-        # the default with this same policy.
+        # A resolved run's pool resolves the default chunk size with
+        # this same policy.
         for workers in (2, 4):
             for n in (7, 23, 160):
                 pool_chunks.clear()
-                ParallelExecutor(workers=workers).map(square, range(n))
+                _placed(workers).map(square, range(n))
                 [chunks] = pool_chunks
                 assert len(chunks[0][1]) == ProcessPoolBackend(
                     workers
@@ -161,10 +167,10 @@ class TestChunkPolicy:
 
 
 class TestExecutorResolveChunkSize:
-    """The chunks a pooled executor actually submits."""
+    """The chunks a resolved run's process pool actually submits."""
 
     def test_explicit_chunk_size_wins(self, pool_chunks):
-        ParallelExecutor(workers=4, chunk_size=3).map(square, range(100))
+        cached_map(_placed(4), square, range(100), None, chunk_size=3)
         [chunks] = pool_chunks
         assert [len(items) for _, items in chunks] == [3] * 33 + [1]
 
@@ -172,9 +178,7 @@ class TestExecutorResolveChunkSize:
         for workers in (2, 3, 8):
             for n_items in (5, 23, 97, 160):
                 pool_chunks.clear()
-                out = ParallelExecutor(workers=workers).map(
-                    square, range(n_items)
-                )
+                out = _placed(workers).map(square, range(n_items))
                 assert out == [x * x for x in range(n_items)]
                 [chunks] = pool_chunks
                 assert len(chunks[0][1]) == max(
@@ -183,7 +187,7 @@ class TestExecutorResolveChunkSize:
 
     def test_zero_items_still_positive(self, pool_chunks):
         assert ProcessPoolBackend(2).resolve_chunk_size(0) == 1
-        assert ParallelExecutor(workers=2).map(square, []) == []
+        assert _placed(2).map(square, []) == []
         assert pool_chunks == []
 
 
@@ -217,15 +221,18 @@ class TestTaskErrorReduce:
 
 
 class TestExecutorBackendDelegation:
+    """A bound backend is the placement every map of the run uses."""
+
     def test_explicit_backend_is_used(self):
         backend = RecordingBackend()
-        out = ParallelExecutor(backend=backend).map(square, range(9))
+        rx = ExecutionConfig(workers=4).bind(backend=backend)
+        out = cached_map(rx.backend, square, range(9), rx.store)
         assert out == [x * x for x in range(9)]
         assert backend.chunks  # the map went through the backend seam
 
     def test_explicit_backend_honours_executor_chunk_size(self):
         backend = RecordingBackend()
-        ParallelExecutor(backend=backend, chunk_size=2).map(square, range(5))
+        cached_map(backend, square, range(5), None, chunk_size=2)
         [chunks] = backend.chunks
         assert [start for start, _ in chunks] == [0, 2, 4]
 
@@ -233,10 +240,8 @@ class TestExecutorBackendDelegation:
         items = list(range(13))
         reference = SerialBackend().map(square, items)
         for backend in (ProcessPoolBackend(2), ProcessPoolBackend(3, None)):
-            assert (
-                ParallelExecutor(backend=backend).map(square, items)
-                == reference
-            )
+            rx = ExecutionConfig().bind(backend=backend)
+            assert cached_map(rx.backend, square, items, None) == reference
 
 
 class TestMakeBackend:

@@ -8,7 +8,6 @@ from repro.runtime.config import (
     ResolvedExecution,
     resolve_execution,
 )
-from repro.runtime.executor import ParallelExecutor
 from repro.runtime.store import ResultStore
 
 
@@ -118,11 +117,18 @@ class TestSerialisation:
 
 
 class TestResolve:
-    def test_default_resolves_to_no_backend_no_store(self):
+    def test_default_resolves_to_serial_backend_no_store(self):
         rx = ExecutionConfig().resolve()
         assert isinstance(rx, ResolvedExecution)
-        assert rx.backend is None
+        assert isinstance(rx.backend, SerialBackend)
         assert rx.store is None
+
+    def test_workers_alone_resolve_to_a_per_call_pool(self):
+        rx = ExecutionConfig(workers=3).resolve()
+        assert isinstance(rx.backend, ProcessPoolBackend)
+        assert (rx.backend.workers, rx.backend.keep_alive) == (3, False)
+        kept = ExecutionConfig(workers=3).resolve(keep_alive=True)
+        assert kept.backend.keep_alive
 
     def test_backend_and_store_constructed(self, tmp_path):
         rx = ExecutionConfig(
@@ -135,11 +141,10 @@ class TestResolve:
         rx = ExecutionConfig(backend="local").resolve()
         assert isinstance(rx.backend, SerialBackend)
 
-    def test_executor_carries_placement(self):
+    def test_backend_spec_wins_over_workers(self):
         rx = ExecutionConfig(backend="local", workers=2).resolve()
-        executor = rx.executor()
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert isinstance(rx.backend, SerialBackend)
+        assert rx.backend.map(_square, [1, 2, 3]) == [1, 4, 9]
 
 
 class TestResolveExecutionShim:
@@ -172,7 +177,8 @@ class TestResolveExecutionShim:
 
     def test_none_resolves_the_defaults(self):
         rx = resolve_execution(None)
-        assert rx == ExecutionConfig().resolve()
+        assert isinstance(rx.backend, SerialBackend)
+        assert rx == ExecutionConfig().bind(backend=rx.backend)
 
 
 class TestBind:
@@ -205,6 +211,12 @@ class TestBind:
             "min_replications",
         ):
             assert getattr(rx, name) == getattr(cfg, name), name
+
+    def test_bind_without_a_backend_builds_the_configs_own(self):
+        assert isinstance(ExecutionConfig().bind().backend, SerialBackend)
+        rx = ExecutionConfig(workers=2).bind()
+        assert isinstance(rx.backend, ProcessPoolBackend)
+        assert rx.backend.workers == 2
 
     def test_resolve_binds_the_objects_it_builds(self, tmp_path):
         cfg = ExecutionConfig(store_dir=str(tmp_path), replications=3)

@@ -24,9 +24,9 @@ from repro.experiments.network import (
 from repro.models import LineTopology
 from repro.runtime import (
     ExecutionConfig,
-    ParallelExecutor,
     SerialBackend,
     TaskError,
+    cached_map,
 )
 from repro.runtime.remote import (
     PROTOCOL_VERSION,
@@ -145,8 +145,12 @@ class TestSocketBackendInProcess:
 
     def test_executor_routes_through_socket(self):
         thread, port = _threaded_worker()
-        pool = ParallelExecutor(backend=SocketBackend([f"127.0.0.1:{port}"]))
-        assert pool.map(square, range(7)) == [x * x for x in range(7)]
+        rx = ExecutionConfig(
+            backend="socket", connect=(f"127.0.0.1:{port}",)
+        ).resolve()
+        assert isinstance(rx.backend, SocketBackend)
+        out = cached_map(rx.backend, square, range(7), rx.store)
+        assert out == [x * x for x in range(7)]
         thread.join(10)
 
     def test_remote_task_error_carries_global_index(self):

@@ -31,9 +31,8 @@ from hypothesis import strategies as st
 from repro.models.network import LineTopology, SensorNetworkModel
 from repro.models.wsn_node import NodeParameters, simulate_node_task
 from repro.runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-from repro.runtime.backend import Backend, SerialBackend
+from repro.runtime.backend import Backend, SerialBackend, TaskError
 from repro.runtime.config import ExecutionConfig
-from repro.runtime.executor import ParallelExecutor, TaskError
 from repro.runtime.store import (
     ENTRY_MAGIC,
     KEY_SCHEMA,
@@ -81,16 +80,23 @@ def noisy_unless_seed_3(task):
     return noisy(task)
 
 
-class CountingPool:
-    """A serial pool that records every item submitted through it."""
+def noisy_ensemble_unless_point_05(task):
+    """``noisy_ensemble``, except that the point at 0.5 raises."""
+    if task[0] == 0.5:
+        raise ValueError("point 0.5 fails")
+    return noisy_ensemble(task)
+
+
+class CountingPool(SerialBackend):
+    """A serial backend that records every item submitted through it."""
 
     def __init__(self):
         self.submitted = []
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunk_size=None):
         items = list(items)
         self.submitted.extend(items)
-        return [fn(item) for item in items]
+        return super().map(fn, items)
 
 
 class CountingBackend(SerialBackend):
@@ -522,9 +528,9 @@ class TestCachedMap:
         # be reported at its index among all the items.
         store = ResultStore(tmp_path)
         items = [(0.5, s) for s in range(5)]
-        cached_map(ParallelExecutor(), noisy_unless_seed_3, items[:3], store)
+        cached_map(SerialBackend(), noisy_unless_seed_3, items[:3], store)
         with pytest.raises(TaskError) as excinfo:
-            cached_map(ParallelExecutor(), noisy_unless_seed_3, items, store)
+            cached_map(SerialBackend(), noisy_unless_seed_3, items, store)
         assert excinfo.value.index == 3
         assert excinfo.value.item == (0.5, 3)
         assert isinstance(excinfo.value.__cause__, ValueError)
@@ -578,6 +584,25 @@ class TestCachedEnsembleMap:
         pool = CountingPool()
         self._run(pool, store, [1, 2, 3])
         assert pool.submitted == []
+
+    def test_failure_index_is_the_point_index(self, tmp_path):
+        # Point 0 is warm, so only point 1 is submitted; its failure
+        # must still be reported at point index 1, cause attached.
+        store = ResultStore(tmp_path)
+        cached_map(SerialBackend(), noisy, [(0.1, 1), (0.1, 2)], store)
+        with pytest.raises(TaskError) as excinfo:
+            cached_ensemble_map(
+                SerialBackend(),
+                noisy_ensemble_unless_point_05,
+                [(0.1, (1, 2)), (0.5, (1, 2))],
+                store,
+                key_fn=noisy,
+                rep_items=[[(0.1, 1), (0.1, 2)], [(0.5, 1), (0.5, 2)]],
+                rebuild_tail=lambda i, start: ((0.1, 0.5)[i], (1, 2)[start:]),
+            )
+        assert excinfo.value.index == 1
+        assert excinfo.value.item == (0.5, (1, 2))
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_mismatched_rep_items_is_an_error(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -670,7 +695,7 @@ class TestAdaptiveStore:
             lambda i, r: ((0.1, 0.5)[i], 100 + 17 * i + r),
             2,
             AdaptiveSettings(max_replications=max_replications, **self.SETTINGS),
-            executor=ParallelExecutor(workers=1),
+            backend=SerialBackend(),
             store=store,
             **kwargs,
         )

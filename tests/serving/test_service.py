@@ -28,7 +28,7 @@ import pytest
 
 import repro.serving.service as service_mod
 from repro.runtime import ExecutionConfig, StoreWarning, request_key
-from repro.runtime.backend import SerialBackend
+from repro.runtime.backend import ProcessPoolBackend, SerialBackend
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serving import ServiceError, SweepService, parse_request
 
@@ -185,6 +185,34 @@ class TestServiceExecution:
             assert warm.result["store"]["hits"] == (
                 cold.result["store"]["puts"] - 1
             )
+
+    def test_request_workers_never_place_tasks(self, tmp_path, monkeypatch):
+        # Placement is server policy: a default server runs in-process,
+        # so a request asking for 3 workers must not get its own pool.
+        # Pool chunks run in-process here, so no test starts a process.
+        built = []
+        original_init = ProcessPoolBackend.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append((args, kwargs))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolBackend, "__init__", recording_init)
+        monkeypatch.setattr(
+            ProcessPoolBackend,
+            "submit_chunks",
+            lambda self, fn, chunks: SerialBackend().submit_chunks(fn, chunks),
+        )
+        scenario = dict(SCENARIO, execution={"replications": 2, "workers": 3})
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert run_scenario(ScenarioSpec.from_dict(scenario)) == 0
+        built.clear()
+        with SweepService(ExecutionConfig(), progress_interval=0.0) as service:
+            job = service.run({"scenario": scenario}, timeout=300)
+        assert job.state == "done"
+        assert job.result["output"] == buf.getvalue()
+        assert built == []
 
     def test_spec_level_value_error_fails_cleanly(self, tmp_path, monkeypatch):
         def boom(spec, rx):
